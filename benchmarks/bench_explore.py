@@ -11,6 +11,9 @@ The engine is pinned to ``"object"`` so this baseline keeps measuring
 the per-point path as the space grows; ``bench_vector.py`` measures
 the vectorized fast path against it.
 
+The cold result's ``to_json()`` — Pareto frontier, dominance ranks and
+the ``repro.explore/1`` encode — is timed as ``document_ms``.
+
 ``REPRO_BENCH_SMOKE=1`` shrinks the space to one CIS node and two
 frame rates and drops the wall-clock assertions; cache-effectiveness
 claims are asserted structurally in both modes.
@@ -67,8 +70,12 @@ def test_explore_throughput(benchmark, write_result, write_bench_json,
     assert len(cold.frontier()) >= 1
     assert all(point.bottleneck is not None
                for point in cold.feasible_points)
-    # Warm pass: identical result, entirely cache-served, no pool.
-    assert warm.to_json() == cold.to_json()
+    # Warm pass: identical result, entirely cache-served, no pool.  The
+    # cold document build (Pareto frontier, ranks, JSON) is timed too.
+    started = time.perf_counter()
+    document = cold.to_json()
+    document_s = time.perf_counter() - started
+    assert warm.to_json() == document
     assert warm_stats.cache_hits == warm_stats.unique
     assert warm_stats.workers_used == 0
 
@@ -85,6 +92,7 @@ def test_explore_throughput(benchmark, write_result, write_bench_json,
              f"({cold_rate:.1f} points/s)",
              f"{'warm wall-clock':<28} {warm_s * 1e3:8.2f} ms  "
              f"({warm_rate:.1f} points/s)",
+             f"{'document (to_json)':<28} {document_s * 1e3:8.2f} ms",
              f"{'cache hit rate':<28} {hit_rate:.2f}"]
     write_result("explore", "\n".join(lines))
 
@@ -99,6 +107,7 @@ def test_explore_throughput(benchmark, write_result, write_bench_json,
         "infeasible_points": len(cold.infeasible_points),
         "cold_wall_s": cold_s,
         "warm_wall_s": warm_s,
+        "document_ms": document_s * 1e3,
         "points_per_s_cold": cold_rate,
         "points_per_s_warm": warm_rate,
         "cache_hits": cache.hits,

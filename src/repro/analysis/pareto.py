@@ -18,8 +18,8 @@ from repro import units
 from repro.area.model import power_density
 from repro.energy.report import EnergyReport
 from repro.exceptions import ConfigurationError
+from repro.explore.engine import dominance_ranks as _dominance_ranks
 from repro.explore.engine import dominates as _dominates
-from repro.explore.engine import pareto_indices as _pareto_indices
 from repro.hw.chip import SensorSystem
 
 #: Both legacy objectives minimize.
@@ -70,8 +70,8 @@ def pareto_front(points: Sequence[DesignPoint]) -> List[DesignPoint]:
     """
     if not points:
         raise ConfigurationError("pareto front needs at least one point")
-    front = [points[index] for index in
-             _pareto_indices([p._vector() for p in points], _GOALS)]
+    ranks = _dominance_ranks([p._vector() for p in points], _GOALS)
+    front = [point for point, rank in zip(points, ranks) if rank == 0]
     return sorted(front, key=lambda p: (p.energy_per_frame,
                                         p.power_density, p.label))
 
@@ -85,5 +85,5 @@ def dominated_points(points: Sequence[DesignPoint]) -> List[DesignPoint]:
     """
     if not points:
         raise ConfigurationError("pareto front needs at least one point")
-    return [point for point in points
-            if any(other.dominates(point) for other in points)]
+    ranks = _dominance_ranks([p._vector() for p in points], _GOALS)
+    return [point for point, rank in zip(points, ranks) if rank]

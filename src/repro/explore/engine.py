@@ -10,7 +10,7 @@ extraction fails with a framework error stay in the result as typed
 infeasible points: infeasibility boundaries are data, not crashes.
 
 The :class:`ExplorationResult` exposes N-objective Pareto frontier
-extraction, dominance ranking (iterated non-dominated sorting), and a
+extraction, dominance ranking (one-pass non-dominated sorting), and a
 per-point energy-bottleneck annotation, and round-trips through JSON
 under the ``repro.explore/1`` schema.
 """
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
@@ -63,6 +64,22 @@ Builder = Union[str, Callable[..., BuilderResult]]
 
 # --- N-objective dominance -------------------------------------------------
 
+def _goal_keys(vectors: Sequence[Sequence[float]], goals: Sequence[str]
+               ) -> List[Optional[Tuple[float, ...]]]:
+    """Validated :func:`_sort_key` per vector; None for NaN vectors."""
+    bad_goals = [goal for goal in goals if goal not in ("min", "max")]
+    if bad_goals:
+        raise ConfigurationError(
+            f"goals must be 'min' or 'max', got {sorted(set(bad_goals))}")
+    for vector in vectors:
+        if len(vector) != len(goals):
+            raise ConfigurationError(
+                f"objective vectors must match the goal list: "
+                f"{len(vector)} values vs {len(goals)} goals")
+    return [None if any(math.isnan(value) for value in vector)
+            else _sort_key(vector, goals) for vector in vectors]
+
+
 def dominates(a: Sequence[float], b: Sequence[float],
               goals: Sequence[str]) -> bool:
     """Strict Pareto dominance of vector ``a`` over ``b``.
@@ -73,26 +90,9 @@ def dominates(a: Sequence[float], b: Sequence[float],
     objective — dominate in neither direction.  Vectors containing NaN
     are incomparable: they never dominate and are never dominated.
     """
-    if len(a) != len(b) or len(a) != len(goals):
-        raise ConfigurationError(
-            f"objective vectors must match the goal list: "
-            f"{len(a)}/{len(b)} values vs {len(goals)} goals")
-    bad_goals = [goal for goal in goals if goal not in ("min", "max")]
-    if bad_goals:
-        raise ConfigurationError(
-            f"goals must be 'min' or 'max', got {sorted(set(bad_goals))}")
-    if any(math.isnan(value) for value in a) \
-            or any(math.isnan(value) for value in b):
-        return False
-    better = False
-    for ours, theirs, goal in zip(a, b, goals):
-        if goal == "max":
-            ours, theirs = -ours, -theirs
-        if ours > theirs:
-            return False
-        if ours < theirs:
-            better = True
-    return better
+    ours, theirs = _goal_keys((a, b), goals)
+    return None not in (ours, theirs) and ours != theirs \
+        and all(map(operator.le, ours, theirs))
 
 
 def _sort_key(vector: Sequence[float], goals: Sequence[str]
@@ -111,11 +111,8 @@ def pareto_indices(vectors: Sequence[Sequence[float]],
     permutations of equal multisets.  NaN-containing vectors are never
     part of the frontier.
     """
-    front = [index for index, vector in enumerate(vectors)
-             if not any(math.isnan(value) for value in vector)
-             and not any(dominates(other, vector, goals)
-                         for other in vectors)]
-    return sorted(front,
+    ranks = dominance_ranks(vectors, goals)
+    return sorted((index for index, rank in enumerate(ranks) if rank == 0),
                   key=lambda index: (_sort_key(vectors[index], goals), index))
 
 
@@ -124,24 +121,31 @@ def dominance_ranks(vectors: Sequence[Sequence[float]],
     """Non-dominated sorting rank per vector (0 = Pareto frontier).
 
     Rank ``k`` is the frontier of what remains after peeling ranks
-    ``0..k-1`` away.  NaN-containing vectors get rank ``None``.
+    ``0..k-1`` away; NaN-containing vectors get rank ``None``.  One
+    sorted pass (ENS-BS, Zhang et al., IEEE TEC 2015) puts each point in
+    the first front holding no dominator of it, found by binary search.
     """
     ranks: List[Optional[int]] = [None] * len(vectors)
-    remaining = [index for index, vector in enumerate(vectors)
-                 if not any(math.isnan(value) for value in vector)]
-    rank = 0
-    while remaining:
-        layer = [index for index in remaining
-                 if not any(dominates(vectors[other], vectors[index], goals)
-                            for other in remaining)]
-        if not layer:  # pragma: no cover - dominance is a strict order
-            break
-        for index in layer:
-            ranks[index] = rank
-        layer_set = set(layer)
-        remaining = [index for index in remaining
-                     if index not in layer_set]
-        rank += 1
+    keyed = sorted((key, index) for index, key
+                   in enumerate(_goal_keys(vectors, goals)) if key is not None)
+    fronts: List[List[Tuple[Tuple[float, ...], Tuple[float, ...]]]] = []
+    for key, index in keyed:
+        # Dominators sort first, so "front k holds one" is monotone in k
+        # and objective 1 needs no test; ``!=`` keeps exact ties apart.
+        # Newest members sit closest in sort order, so test them first.
+        tail = key[1:]
+        low, high = 0, len(fronts)
+        while low < high:
+            middle = (low + high) // 2
+            if any(all(map(operator.le, other_tail, tail)) and other != key
+                   for other, other_tail in reversed(fronts[middle])):
+                low = middle + 1
+            else:
+                high = middle
+        if low == len(fronts):
+            fronts.append([])
+        fronts[low].append((key, tail))
+        ranks[index] = low
     return ranks
 
 
@@ -255,14 +259,14 @@ class ExplorationResult:
     def frontier_indices(self) -> List[int]:
         """Indices (into ``points``) of the Pareto frontier, in
         deterministic objective order."""
-        feasible = [(index, point.objective_vector(self.objectives))
-                    for index, point in enumerate(self.points)
-                    if point.feasible]
-        if not feasible:
-            return []
-        local = pareto_indices([vector for _, vector in feasible],
-                               self.goals)
-        return [feasible[position][0] for position in local]
+        return self._frontier_from(self.dominance_ranks())
+
+    def _frontier_from(self, ranks: List[Optional[int]]) -> List[int]:
+        """The rank-0 indices, ordered like :func:`pareto_indices`."""
+        vectors = {index: self.points[index].objective_vector(
+            self.objectives) for index, rank in enumerate(ranks) if rank == 0}
+        return sorted(vectors, key=lambda index: (
+            _sort_key(vectors[index], self.goals), index))
 
     def frontier(self) -> List[ExplorationPoint]:
         """The non-dominated feasible points, deterministically ordered."""
@@ -270,16 +274,11 @@ class ExplorationResult:
 
     def dominance_ranks(self) -> List[Optional[int]]:
         """Per-point non-dominated-sorting rank (None for infeasible)."""
-        feasible = [(index, point.objective_vector(self.objectives))
-                    for index, point in enumerate(self.points)
-                    if point.feasible]
-        ranks: List[Optional[int]] = [None] * len(self.points)
-        if feasible:
-            local = dominance_ranks([vector for _, vector in feasible],
-                                    self.goals)
-            for (index, _), rank in zip(feasible, local):
-                ranks[index] = rank
-        return ranks
+        vectors = [point.objective_vector(self.objectives)
+                   for point in self.points if point.feasible]
+        local = iter(dominance_ranks(vectors, self.goals))
+        return [next(local) if point.feasible else None
+                for point in self.points]
 
     # --- serialization ----------------------------------------------------
 
@@ -290,6 +289,7 @@ class ExplorationResult:
         points deterministically, so a round-tripped result re-emits the
         identical document.
         """
+        ranks = self.dominance_ranks()
         return {
             "schema": EXPLORATION_SCHEMA,
             "name": self.name,
@@ -298,8 +298,8 @@ class ExplorationResult:
                            for objective in self.objectives],
             "options": self.options.to_dict(),
             "points": [point.to_dict() for point in self.points],
-            "frontier": self.frontier_indices(),
-            "ranks": self.dominance_ranks(),
+            "frontier": self._frontier_from(ranks),
+            "ranks": ranks,
             "resilience": {key: int(self.resilience.get(key, 0))
                            for key in RESILIENCE_COUNTERS},
             "engines": {key: int(self.engines.get(key, 0))
@@ -366,8 +366,8 @@ class ExplorationResult:
 
     def to_table(self) -> str:
         """Human-readable summary: all points, frontier starred."""
-        frontier = set(self.frontier_indices())
         ranks = self.dominance_ranks()
+        frontier = set(self._frontier_from(ranks))
         lines = [f"Exploration — {self.name}: {len(self.points)} points, "
                  f"{len(self.feasible_points)} feasible, "
                  f"{len(self.infeasible_points)} infeasible, "

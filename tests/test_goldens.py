@@ -1,8 +1,9 @@
 """Golden-number regression guard.
 
-The headline quantities of EXPERIMENTS.md, pinned with tolerances.  A
-model change that silently shifts a reproduced result beyond its band
-fails here before it corrupts the documented record.
+The headline quantities the README reports for the paper's results
+(PAPER.md: Fig. 7 validation, Fig. 9/11 use-case totals), pinned with
+tolerances.  A model change that silently shifts a reproduced result
+beyond its band fails here before it corrupts the documented record.
 """
 
 import pytest
