@@ -6,6 +6,9 @@ macros approximate the digital area.  For a 2D design both shares sit on
 one die; for a stacked design each layer's density is its own power over
 its own area, and the reported chip density is the maximum across layers
 (the thermal-relevant hotspot bound).
+
+Densities fold element-wise over a column-valued report (one element per
+explored point, see :mod:`repro.columns`).
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro import units
+from repro.columns import maximum
 from repro.exceptions import ConfigurationError
 from repro.energy.report import EnergyReport
 from repro.hw.chip import SensorSystem
@@ -111,66 +115,13 @@ def power_density(system: SensorSystem, report: EnergyReport,
             f"system {system.name!r} has no on-chip area to compute a "
             f"power density over; set pixel geometry or memory areas")
     if system.is_stacked:
-        return max(densities.values())
+        return maximum(densities.values())
     areas = estimate_area(system)
     total_area = areas.total
     total_power = sum(entry.energy * report.frame_rate
                       for entry in report.entries
                       if entry.layer != OFF_CHIP
                       and (include_comm or not _is_comm_entry(entry)))
-    return total_power / total_area
-
-
-def power_density_batch(system: SensorSystem, entries, frame_rate,
-                        include_comm: bool = False):
-    """Vector mirror of :func:`power_density` over energy columns.
-
-    ``entries`` are ``VectorEntry`` columns (per-point energy vectors or
-    design-constant floats) and ``frame_rate`` is the per-point frame
-    rate vector; the fold orders and division sequence replicate the
-    scalar functions exactly, so each element is bit-identical to the
-    scalar density of that point.  The no-on-chip-area
-    :class:`ConfigurationError` depends only on the design and is raised
-    (not masked) for the whole batch, mirroring every scalar point
-    failing the same way.
-    """
-    import numpy as np
-
-    areas = estimate_area(system)
-    power_by_layer = {}
-    for entry in entries:
-        if entry.layer == OFF_CHIP:
-            continue
-        if not include_comm and _is_comm_entry(entry):
-            continue
-        power_by_layer[entry.layer] = (power_by_layer.get(entry.layer, 0.0)
-                                       + entry.energy * frame_rate)
-    densities = {}
-    footprint = areas.footprint if system.is_stacked else None
-    for layer_name, power in power_by_layer.items():
-        area = footprint if footprint else areas.by_layer.get(layer_name,
-                                                              0.0)
-        if area <= 0:
-            continue
-        densities[layer_name] = power / area
-    if not densities:
-        raise ConfigurationError(
-            f"system {system.name!r} has no on-chip area to compute a "
-            f"power density over; set pixel geometry or memory areas")
-    if system.is_stacked:
-        # max() over per-layer vectors, element-wise; np.maximum is a
-        # selection (never rounds), so ties and order match the scalar
-        # max() bit-for-bit.
-        best = None
-        for value in densities.values():
-            best = value if best is None else np.maximum(best, value)
-        return best
-    total_area = areas.total
-    total_power = 0
-    for entry in entries:
-        if entry.layer != OFF_CHIP \
-                and (include_comm or not _is_comm_entry(entry)):
-            total_power = total_power + entry.energy * frame_rate
     return total_power / total_area
 
 

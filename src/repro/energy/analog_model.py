@@ -6,18 +6,23 @@ regularity (Eq. 3): operations mapped onto an AFA divide evenly over its
 components.  Arrays with no mapped stage (e.g. the ADC array of Fig. 5)
 process whatever the upstream array produces, so operation counts propagate
 along the analog wiring.
+
+:func:`analog_energy` works on the usages :func:`analog_usage` produced,
+which the engine memoizes per design, and on one stage delay or a
+per-point column of them (the explore fast path passes the lowered
+kernels of :mod:`repro.hw.analog.vector` for the latter).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # avoid a runtime cycle with repro.sim
     from repro.sim.mapping import Mapping
 
 from repro.exceptions import SimulationError
-from repro.energy.report import Category, EnergyEntry, VectorEntry
+from repro.energy.report import Category, EnergyEntry
 from repro.hw.analog.array import AnalogArray
 from repro.hw.chip import SensorSystem
 from repro.sw.dag import StageGraph
@@ -110,19 +115,26 @@ def analog_usage(graph: StageGraph, system: SensorSystem,
             if a.name in usages]
 
 
-def analog_energy(graph: StageGraph, system: SensorSystem, mapping: Mapping,
-                  analog_stage_delay: float, *,
-                  resolved: Optional[Dict[str, object]] = None
+def analog_energy(usages: List[ArrayUsage], analog_stage_delay, *,
+                  kernels: Optional[Dict[str, Callable]] = None
                   ) -> List[EnergyEntry]:
-    """Per-component analog energy entries for one frame (Eq. 2)."""
+    """Per-component analog energy entries for one frame (Eq. 2).
+
+    ``analog_stage_delay`` is one delay, or a per-point column when
+    ``kernels`` maps each array name to its lowered ``energy_breakdown``
+    (:func:`repro.hw.analog.vector.lower_array`); without ``kernels``
+    each array's own :meth:`~AnalogArray.energy_breakdown` is used.
+    """
     entries: List[EnergyEntry] = []
-    for usage in analog_usage(graph, system, mapping, resolved=resolved):
+    for usage in usages:
         array = usage.array
         if usage.ops <= 0:
             continue
         category = _CATEGORY_BY_ARRAY[array.category]
-        breakdown = array.energy_breakdown(usage.ops, analog_stage_delay)
-        for component_name, energy in breakdown.items():
+        breakdown = (array.energy_breakdown if kernels is None
+                     else kernels[array.name])
+        for component_name, energy in breakdown(
+                usage.ops, analog_stage_delay).items():
             entries.append(EnergyEntry(
                 name=f"{array.name}/{component_name}",
                 category=category,
@@ -146,32 +158,3 @@ def _output_volume(array: AnalogArray) -> float:
     components = array.components
     last = components[-1][0]
     return float(last.output_volume)
-
-
-def analog_energy_batch(usages: List[ArrayUsage], analog_stage_delay,
-                        breakdowns) -> list:
-    """Vector mirror of :func:`analog_energy` over precomputed usages.
-
-    ``analog_stage_delay`` is a per-point delay vector; ``breakdowns``
-    aligns with ``usages`` and carries each array's lowered
-    ``energy_breakdown`` kernel (see :mod:`repro.hw.analog.vector`;
-    ``None`` for arrays the scalar path skips because ``ops <= 0``).
-    Emits :class:`VectorEntry` columns in exactly the scalar model's
-    entry order, with per-element energies bit-identical to the scalar
-    entries.
-    """
-    entries = []
-    for usage, breakdown_kernel in zip(usages, breakdowns):
-        array = usage.array
-        if usage.ops <= 0:
-            continue
-        category = _CATEGORY_BY_ARRAY[array.category]
-        breakdown = breakdown_kernel(usage.ops, analog_stage_delay)
-        for component_name, energy in breakdown.items():
-            entries.append(VectorEntry(
-                name=f"{array.name}/{component_name}",
-                category=category,
-                layer=array.layer,
-                energy=energy,
-                stage=usage.stage_name))
-    return entries

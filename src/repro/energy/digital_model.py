@@ -3,6 +3,9 @@
 Compute energy is per-cycle energy times simulated cycle counts (Eq. 15);
 memory energy is dynamic read/write energy times simulated access counts
 plus leakage over the powered fraction of the frame (Eq. 16).
+
+``frame_time`` may be a per-point column (see :mod:`repro.columns`):
+compute energies do not depend on it, and leakage broadcasts.
 """
 
 from __future__ import annotations
@@ -14,13 +17,12 @@ if TYPE_CHECKING:  # avoid a runtime cycle with repro.sim
     from repro.sim.cycle_sim import DigitalTimeline
 
 
-from repro.energy.report import Category, EnergyEntry, VectorEntry
-from repro.exceptions import VectorUnsupported
+from repro.energy.report import Category, EnergyEntry
 from repro.hw.chip import SensorSystem
 
 
 def digital_energy(system: SensorSystem, timeline: DigitalTimeline,
-                   frame_time: float) -> List[EnergyEntry]:
+                   frame_time) -> List[EnergyEntry]:
     """Per-unit digital energy entries for one frame (Eq. 14)."""
     entries: List[EnergyEntry] = []
     entries.extend(_compute_entries(system, timeline))
@@ -44,14 +46,17 @@ def _compute_entries(system: SensorSystem, timeline: DigitalTimeline
 
 
 def _memory_entries(system: SensorSystem, timeline: DigitalTimeline,
-                    frame_time: float) -> List[EnergyEntry]:
+                    frame_time) -> List[EnergyEntry]:
     entries = []
     for memory in system.memories:
         reads = timeline.memory_reads.get(memory.name, 0.0)
         writes = timeline.memory_writes.get(memory.name, 0.0)
         dynamic = memory.read_energy(reads) + memory.write_energy(writes)
-        leakage = memory.leakage_energy(frame_time)
-        if dynamic == 0.0 and leakage == 0.0:
+        # Leakage P_leak * t_frame * alpha with t_frame > 0 is zero iff
+        # P_leak or alpha is, so whether a memory is skipped does not
+        # depend on the frame time.
+        if dynamic == 0.0 and (memory.leakage_power == 0.0
+                               or memory.duty_alpha == 0.0):
             continue
         if reads == 0.0 and writes == 0.0 and memory.duty_alpha == 0.0:
             continue
@@ -59,60 +64,6 @@ def _memory_entries(system: SensorSystem, timeline: DigitalTimeline,
             name=memory.name,
             category=Category.MEM_D,
             layer=memory.layer,
-            energy=dynamic + leakage,
-            stage=timeline.memory_stage.get(memory.name)))
-    return entries
-
-
-def digital_energy_batch(system: SensorSystem, timeline: DigitalTimeline,
-                         frame_time) -> List[VectorEntry]:
-    """Vector mirror of :func:`digital_energy`: ``frame_time`` is a vector.
-
-    Compute entries are option-independent (the timeline is a design-only
-    pass), so they pass through as constants; memory leakage replays the
-    stock :meth:`~repro.hw.digital.memory.DigitalMemory.leakage_energy`
-    formula element-wise — the method itself starts with a scalar
-    positivity check and cannot take an array, so overriding subclasses
-    raise :class:`VectorUnsupported` (the explore engine pre-screens for
-    this before routing a group here).
-
-    The scalar model skips a memory when its dynamic energy and leakage
-    are both zero; leakage is ``P_leak * t_frame * alpha`` with
-    ``t_frame > 0``, so that condition is option-independent too
-    (``P_leak == 0 or alpha == 0``) and skipped entries match per point.
-    """
-    from repro.hw.digital.memory import DigitalMemory
-
-    entries: List[VectorEntry] = []
-    by_unit = {unit.name: unit for unit in system.compute_units}
-    for activity in timeline.activities:
-        unit = by_unit[activity.unit_name]
-        entries.append(VectorEntry(
-            name=activity.unit_name,
-            category=Category.COMP_D,
-            layer=unit.layer,
-            energy=activity.energy,
-            stage=activity.stage_name))
-    for memory in system.memories:
-        if getattr(type(memory), "leakage_energy", None) \
-                is not DigitalMemory.leakage_energy:
-            raise VectorUnsupported(
-                f"memory {getattr(memory, 'name', memory)!r} overrides "
-                f"leakage_energy")
-        reads = timeline.memory_reads.get(memory.name, 0.0)
-        writes = timeline.memory_writes.get(memory.name, 0.0)
-        dynamic = memory.read_energy(reads) + memory.write_energy(writes)
-        leakage_is_zero = (memory.leakage_power == 0.0
-                           or memory.duty_alpha == 0.0)
-        if dynamic == 0.0 and leakage_is_zero:
-            continue
-        if reads == 0.0 and writes == 0.0 and memory.duty_alpha == 0.0:
-            continue
-        leakage = memory.leakage_power * frame_time * memory.duty_alpha
-        entries.append(VectorEntry(
-            name=memory.name,
-            category=Category.MEM_D,
-            layer=memory.layer,
-            energy=dynamic + leakage,
+            energy=dynamic + memory.leakage_energy(frame_time),
             stage=timeline.memory_stage.get(memory.name)))
     return entries

@@ -4,15 +4,22 @@ Entries are tagged with the categories the paper's figures roll up to:
 ``SEN`` (pixel sensing and A/D conversion), analog compute/memory
 (``COMP-A``/``MEM-A``), digital compute/memory (``COMP-D``/``MEM-D``), and
 the two communication interfaces (``MIPI``/``uTSV``).
+
+Energies, ``frame_rate`` and ``frame_time`` may also be per-point columns
+(NumPy arrays, see :mod:`repro.columns`): the explore fast path builds
+one report for a whole group of points, and every rollup then returns
+the column of the scalar rollups.  Rendering and serialization expect
+one point.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro import units
+from repro.columns import any_true
 from repro.exceptions import ConfigurationError
 
 
@@ -33,7 +40,7 @@ class Category(enum.Enum):
 
 @dataclass(frozen=True)
 class EnergyEntry:
-    """Energy attributed to one hardware component."""
+    """Energy attributed to one hardware component (a float or a column)."""
 
     name: str
     category: Category
@@ -42,29 +49,10 @@ class EnergyEntry:
     stage: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.energy < 0:
+        if any_true(self.energy < 0):
             raise ConfigurationError(
                 f"energy entry {self.name!r}: energy must be non-negative, "
                 f"got {self.energy}")
-
-
-@dataclass(frozen=True)
-class VectorEntry:
-    """Column-oriented :class:`EnergyEntry`: one component across a batch.
-
-    ``energy`` is either a NumPy array (one element per explored point)
-    or a plain float for components whose energy does not depend on the
-    swept options; arithmetic broadcasts either way.  Produced by the
-    batch energy models (``analog_energy_batch`` et al.) and consumed by
-    the vectorized explore path, which materializes per-point
-    :class:`EnergyEntry` rows from it on demand.
-    """
-
-    name: str
-    category: Category
-    layer: str
-    energy: Any
-    stage: Optional[str] = None
 
 
 @dataclass

@@ -411,18 +411,18 @@ def _metric_from_payload(raw: Dict[str, Any]) -> Metric:
         raise SerializationError(
             f"objective spec must be an object with a 'name', got {raw!r}")
     name = raw["name"]
-    vector = None
+    elementwise = False
     try:
         registered = _lookup_metric(name)
         extract = registered.extract
-        vector = registered.vector
+        elementwise = registered.elementwise
     except ConfigurationError:
         def extract(design, report, _name=name):
             raise ConfigurationError(
                 f"metric {_name!r} was deserialized without an extractor; "
                 f"register it before re-evaluating")
     return Metric(name=name, unit=raw.get("unit", ""), extract=extract,
-                  goal=raw.get("goal", "min"), vector=vector)
+                  goal=raw.get("goal", "min"), elementwise=elementwise)
 
 
 # --- the engine -----------------------------------------------------------
@@ -494,10 +494,10 @@ def explore(space: ParameterSpace,
         (:mod:`repro.explore.vector`) — bit-identical results, orders
         of magnitude faster — and everything else through the object
         path.  ``"vector"`` vectorizes every group it can (any size)
-        and raises :class:`ConfigurationError` when the objectives (or
-        a missing numpy) make vectorization impossible; unsupported
-        *designs* still fall back per group.  ``"object"`` forces
-        today's per-point path for everything.
+        and raises :class:`ConfigurationError` when an objective is not
+        ``elementwise``; unsupported *designs* still fall back per
+        group.  ``"object"`` forces today's per-point path for
+        everything.
 
     Builder failures, simulation failures (timing, stalls), and metric
     extraction failures are all :class:`CamJError`-typed infeasible
@@ -777,8 +777,7 @@ def _run_vector_groups(slots, simulator: Simulator,
     """
     from repro.explore import vector as vector_mod
 
-    if not vector_mod.numpy_available() \
-            or vector_mod.vector_support_error(objectives) is not None:
+    if vector_mod.vector_support_error(objectives) is not None:
         return {}, 0
     if get_injector().active:
         # Fault injection hooks the object execution path; vectorized

@@ -20,26 +20,29 @@ User code registers additional metrics at runtime::
                            unit="FPS/mW", goal="max",
                            extract=lambda design, report:
                                report.frame_rate /
-                               (report.total_power / units.mW)))
+                               (report.total_power / units.mW),
+                           elementwise=True))
+
+One extractor serves both explore engines.  A metric declared
+``elementwise`` promises that it is plain arithmetic over the report, so
+the vector engine may hand it a report whose energies and rates are
+per-point columns (:mod:`repro.columns`) and read a column back;
+metrics that do not opt in send their points to the object engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from functools import partial
+from typing import Callable, Dict, List, Sequence, Union
 
 from repro.area.model import estimate_area, power_density
+from repro.columns import divide_or_zero
 from repro.energy.report import Category, EnergyReport
 from repro.exceptions import ConfigurationError
 
 #: Extractor signature: (design, report) -> float.
 Extractor = Callable[["Design", EnergyReport], float]  # noqa: F821
-
-#: Vector extractor signature: (design, batch) -> column (ndarray or a
-#: design-constant scalar), where ``batch`` is the explore fast path's
-#: :class:`repro.explore.vector.VectorBatch`.  Metrics without one fall
-#: back to per-point object evaluation under the vector engine.
-VectorExtractor = Callable[["Design", Any], Any]  # noqa: F821
 
 _GOALS = ("min", "max")
 
@@ -53,7 +56,7 @@ class Metric:
     extract: Extractor = field(compare=False)
     goal: str = "min"
     description: str = ""
-    vector: Optional[VectorExtractor] = field(default=None, compare=False)
+    elementwise: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -117,72 +120,60 @@ def resolve_metrics(objectives: Sequence[Union[str, Metric]]) -> List[Metric]:
 # --- built-ins ------------------------------------------------------------
 
 def _register_builtins() -> None:
-    register_metric(Metric(
+    # Every built-in is plain arithmetic over the report.
+    builtin = partial(Metric, elementwise=True)
+    register_metric(builtin(
         "energy_per_frame", unit="J/frame",
         extract=lambda design, report: report.total_energy,
-        vector=lambda design, batch: batch.total_energy(),
         description="total energy per frame (Eq. 1)"))
-    register_metric(Metric(
+    register_metric(builtin(
         "power", unit="W",
         extract=lambda design, report: report.total_power,
-        vector=lambda design, batch: batch.total_power(),
         description="average power at the configured frame rate"))
-    register_metric(Metric(
+    register_metric(builtin(
         "power_density", unit="W/m^2",
         extract=lambda design, report: power_density(design.system, report),
-        vector=lambda design, batch: batch.power_density(),
         description="on-chip power density; hotspot bound for stacks "
                     "(Table 3)"))
-    register_metric(Metric(
+    register_metric(builtin(
         "latency", unit="s",
         extract=lambda design, report: report.digital_latency,
-        vector=lambda design, batch: batch.digital_latency,
         description="digital pipeline latency per frame"))
-    register_metric(Metric(
+    register_metric(builtin(
         "frame_slack", unit="s", goal="max",
         extract=lambda design, report:
             report.frame_time - report.digital_latency,
-        vector=lambda design, batch: batch.frame_slack(),
         description="frame budget left after the digital pipeline"))
-    register_metric(Metric(
+    register_metric(builtin(
         "area", unit="m^2",
         extract=lambda design, report:
             estimate_area(design.system).total,
-        vector=lambda design, batch:
-            estimate_area(design.system).total,
         description="conservative total silicon area across layers"))
-    register_metric(Metric(
+    register_metric(builtin(
         "footprint", unit="m^2",
         extract=lambda design, report:
             estimate_area(design.system).footprint,
-        vector=lambda design, batch:
-            estimate_area(design.system).footprint,
         description="die footprint (largest layer of a stack)"))
-    register_metric(Metric(
+    register_metric(builtin(
         "analog_energy", unit="J/frame",
         extract=lambda design, report: report.analog_energy,
-        vector=lambda design, batch: batch.analog_energy(),
         description="SEN + analog compute + analog memory energy"))
-    register_metric(Metric(
+    register_metric(builtin(
         "digital_energy", unit="J/frame",
         extract=lambda design, report: report.digital_energy,
-        vector=lambda design, batch: batch.digital_energy(),
         description="digital compute + digital memory energy"))
-    register_metric(Metric(
+    register_metric(builtin(
         "communication_energy", unit="J/frame",
         extract=lambda design, report: report.communication_energy,
-        vector=lambda design, batch: batch.communication_energy(),
         description="MIPI + uTSV link energy (Eq. 17)"))
     for category in Category:
-        register_metric(Metric(
+        register_metric(builtin(
             f"energy:{category.value}", unit="J/frame",
             extract=_category_energy(category),
-            vector=_category_energy_vector(category),
             description=f"energy of the {category.value} roll-up category"))
-        register_metric(Metric(
+        register_metric(builtin(
             f"share:{category.value}", unit="fraction",
             extract=_category_share(category),
-            vector=_category_share_vector(category),
             description=f"share of total energy in {category.value}"))
 
 
@@ -191,18 +182,8 @@ def _category_energy(category: Category) -> Extractor:
 
 
 def _category_share(category: Category) -> Extractor:
-    def share(design, report: EnergyReport) -> float:
-        total = report.total_energy
-        return report.category_energy(category) / total if total else 0.0
-    return share
-
-
-def _category_energy_vector(category: Category) -> VectorExtractor:
-    return lambda design, batch: batch.category_energy(category)
-
-
-def _category_share_vector(category: Category) -> VectorExtractor:
-    return lambda design, batch: batch.category_share(category)
+    return lambda design, report: divide_or_zero(
+        report.category_energy(category), report.total_energy)
 
 
 _register_builtins()

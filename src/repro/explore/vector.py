@@ -12,19 +12,24 @@ at once:
 2. the design-only passes (timeline, analog usage, communication
    energy) run through the session's :class:`PassMemo` exactly like the
    engine would;
-3. timing, analog/digital energy, and power density evaluate as
-   element-wise NumPy expressions over per-point column vectors;
-4. metrics extract columns through their ``vector`` extractors.
+3. timing evaluates element-wise over per-point column vectors, and the
+   scalar engine's own energy models — :func:`analog_energy` with the
+   lowered kernels, :func:`digital_energy` — build one
+   :class:`EnergyReport` whose energies and rates are columns
+   (:mod:`repro.columns`);
+4. each ``elementwise`` metric's single extractor reads its column off
+   that report.
 
 Equivalence contract: every float operation sequence of the scalar
 engine is replayed element-wise, so vector-evaluated points are
 *bit-identical* to object-path points — same metrics, same infeasibility
 boundaries, same :class:`TimingError` messages — which the property
-tests in ``tests/test_vector.py`` assert.  Designs, cells, memories, or
-metrics that cannot be vectorized raise
+tests in ``tests/test_vector.py`` assert.  Designs, cells, or memories
+that cannot be vectorized raise
 :class:`~repro.exceptions.VectorUnsupported` during lowering (before any
 observable cache side effect) and the engine falls back to
-:meth:`Simulator.run_many` for the group.
+:meth:`Simulator.run_many` for the group; objectives that are not
+``elementwise`` send every group there.
 
 Cache semantics match the object path: every point probes the session
 result cache first (hits are served as cached results, misses counted),
@@ -40,27 +45,23 @@ from collections import OrderedDict
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.api.design import Design
 from repro.api.result import SimOptions, SimResult
 from repro.api.simulator import Simulator
-from repro.energy.analog_model import analog_energy_batch, analog_usage
+from repro.energy.analog_model import analog_energy, analog_usage
 from repro.energy.comm_model import communication_energy
-from repro.energy.digital_model import digital_energy_batch
-from repro.energy.report import (Category, EnergyEntry, EnergyReport,
-                                 VectorEntry)
+from repro.energy.digital_model import digital_energy
+from repro.energy.report import Category, EnergyEntry, EnergyReport
 from repro.exceptions import CamJError, TimingError, VectorUnsupported
 from repro.explore.annotate import _HINTS, Bottleneck
 from repro.explore.engine import ExplorationPoint, _evaluate_point
 from repro.explore.metrics import Metric
-from repro.hw.analog.vector import lower_array, numpy_available
+from repro.hw.analog.vector import lower_array
 from repro.resilience.policy import FailureClass, classify
 from repro.sim.cycle_sim import simulate_digital
 from repro.sim.simulator import _run_pass
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the image
-    _np = None
 
 #: Smallest same-design group the ``auto`` engine vectorizes.  Tiny
 #: groups gain nothing over the object path (lowering plus array setup
@@ -77,14 +78,12 @@ _lowered_lock = threading.Lock()
 
 def vector_support_error(objectives: Sequence[Metric]) -> Optional[str]:
     """Why the vector path cannot serve these objectives; None if it can."""
-    if not numpy_available():  # pragma: no cover - numpy ships in CI
-        return "numpy is not installed"
     missing = sorted(objective.name for objective in objectives
-                     if objective.vector is None)
+                     if not objective.elementwise)
     if missing:
-        return (f"objective(s) {missing} have no vector extractor; "
-                f"register the metric with a vector= callable or use "
-                f"the object engine")
+        return (f"objective(s) {missing} are not elementwise; register "
+                f"the metric with elementwise=True or use the object "
+                f"engine")
     return None
 
 
@@ -94,9 +93,10 @@ def _lower_design(design: Design, design_hash: Optional[str]
 
     Pure over the design's *system* (no passes run, no cache touched),
     so eligibility is decided before the group produces any observable
-    side effect.  Also pre-screens the digital memories — their leakage
-    formula is replayed element-wise later, which only mirrors the stock
-    implementation.  Memoized per content hash.
+    side effect.  Also pre-screens the digital memories: their leakage
+    is later asked for a frame-time column, which only the stock
+    :meth:`~repro.hw.digital.memory.DigitalMemory.leakage_energy` is
+    known to accept.  Memoized per content hash.
     """
     if design_hash is not None:
         with _lowered_lock:
@@ -121,86 +121,11 @@ def _lower_design(design: Design, design_hash: Optional[str]
     return lowered
 
 
-class VectorBatch:
-    """Column view of one vector-evaluated group of feasible points.
-
-    Metric ``vector`` extractors receive this in place of a per-point
-    :class:`EnergyReport`; the rollups mirror the report's with the same
-    left-fold float arithmetic, element-wise, so each column element is
-    bit-identical to the scalar metric of that point.  Values may be
-    design-constant scalars (broadcast); :meth:`materialize` turns any
-    extractor result into a dense per-point column.
-    """
-
-    def __init__(self, design: Design, size: int, frame_rate, frame_time,
-                 digital_latency: float, entries: List[VectorEntry]):
-        self.design = design
-        self.system = design.system
-        self.size = size
-        self.frame_rate = frame_rate
-        self.frame_time = frame_time
-        self.digital_latency = digital_latency
-        self.entries = entries
-        self._total = None
-        self._by_category: Optional[Dict[Category, Any]] = None
-
-    def materialize(self, values) -> Any:
-        """A dense per-point column from a vector or a constant scalar."""
-        if isinstance(values, _np.ndarray):
-            return values
-        return _np.full(self.size, float(values))
-
-    def total_energy(self):
-        if self._total is None:
-            total = _np.zeros(self.size)
-            for entry in self.entries:
-                total = total + entry.energy
-            self._total = total
-        return self._total
-
-    def total_power(self):
-        return self.total_energy() * self.frame_rate
-
-    def by_category(self) -> Dict[Category, Any]:
-        if self._by_category is None:
-            rollup: Dict[Category, Any] = {}
-            for entry in self.entries:
-                rollup[entry.category] = rollup.get(entry.category, 0.0) \
-                    + entry.energy
-            self._by_category = rollup
-        return self._by_category
-
-    def category_energy(self, category: Category):
-        return self.by_category().get(category, 0.0)
-
-    def category_share(self, category: Category):
-        total = self.total_energy()
-        energy = self.materialize(self.category_energy(category))
-        share = _np.zeros(self.size)
-        _np.divide(energy, total, out=share, where=total != 0.0)
-        return share
-
-    def analog_energy(self):
-        return (self.category_energy(Category.SEN)
-                + self.category_energy(Category.COMP_A)
-                + self.category_energy(Category.MEM_A))
-
-    def digital_energy(self):
-        return (self.category_energy(Category.COMP_D)
-                + self.category_energy(Category.MEM_D))
-
-    def communication_energy(self):
-        return (self.category_energy(Category.MIPI)
-                + self.category_energy(Category.UTSV))
-
-    def frame_slack(self):
-        return self.frame_time - self.digital_latency
-
-    def power_density(self, include_comm: bool = False):
-        from repro.area.model import power_density_batch
-        return power_density_batch(self.system, self.entries,
-                                   self.frame_rate,
-                                   include_comm=include_comm)
+def _column(values, size: int):
+    """A dense per-point column from a column or a design constant."""
+    if isinstance(values, np.ndarray):
+        return values
+    return np.full(size, float(values))
 
 
 def _error_point(params: Dict[str, Any], design: Design,
@@ -250,7 +175,8 @@ def _new_bottleneck(name: str, category: Category, energy: float,
     return bottleneck
 
 
-def _vector_bottlenecks(batch: VectorBatch) -> List[Optional[Bottleneck]]:
+def _vector_bottlenecks(report: EnergyReport, size: int
+                        ) -> List[Optional[Bottleneck]]:
     """Per-point top energy bottleneck, mirroring identify_bottlenecks.
 
     The scalar ranking sorts (name, category) component totals by
@@ -258,20 +184,20 @@ def _vector_bottlenecks(batch: VectorBatch) -> List[Optional[Bottleneck]]:
     the first maximum in entry-insertion order, which is what a
     column-stacked argmax yields.
     """
-    total = batch.total_energy()
+    total = _column(report.total_energy, size)
     groups: "OrderedDict[Tuple[str, Category], Any]" = OrderedDict()
-    for entry in batch.entries:
+    for entry in report.entries:
         key = (entry.name, entry.category)
         groups[key] = groups.get(key, 0.0) + entry.energy
     if not groups:
-        return [None] * batch.size
+        return [None] * size
     keys = list(groups)
-    matrix = _np.vstack([batch.materialize(groups[key]) for key in keys])
+    matrix = np.vstack([_column(groups[key], size) for key in keys])
     top = matrix.argmax(axis=0)
-    top_energy = matrix[top, _np.arange(batch.size)]
-    share = _np.zeros(batch.size)
+    top_energy = matrix[top, np.arange(size)]
+    share = np.zeros(size)
     positive = total > 0.0
-    _np.divide(top_energy, total, out=share, where=positive)
+    np.divide(top_energy, total, out=share, where=positive)
     top_list = top.tolist()
     energy_list = top_energy.tolist()
     share_list = share.tolist()
@@ -285,7 +211,7 @@ def _vector_bottlenecks(batch: VectorBatch) -> List[Optional[Bottleneck]]:
                 for i, top in enumerate(top_list)]
     positive_list = positive.tolist()
     out: List[Optional[Bottleneck]] = []
-    for i in range(batch.size):
+    for i in range(size):
         if not positive_list[i]:
             out.append(None)
             continue
@@ -415,10 +341,10 @@ def _evaluate_lowered(simulator: Simulator, design: Design,
     # only the budget check can fail here.
     digital_latency = timeline.total_latency
     if len(survivors) == len(group):
-        frame_rate_vec = _np.array([options.frame_rate
+        frame_rate_vec = np.array([options.frame_rate
                                     for _, options in group], dtype=float)
     else:
-        frame_rate_vec = _np.array([float(group[i][1].frame_rate)
+        frame_rate_vec = np.array([float(group[i][1].frame_rate)
                                     for i in survivors])
     frame_time_vec = 1.0 / frame_rate_vec
     budget = frame_time_vec - digital_latency
@@ -452,7 +378,7 @@ def _evaluate_lowered(simulator: Simulator, design: Design,
             return points, hits
         # Compact to the feasible subset (exact element copies, so the
         # downstream arithmetic is unchanged).
-        index = _np.array(feasible_positions)
+        index = np.array(feasible_positions)
         feasible_survivors = [survivors[p] for p in feasible_positions]
         frame_rate_f = frame_rate_vec[index]
         frame_time_f = frame_time_vec[index]
@@ -462,30 +388,26 @@ def _evaluate_lowered(simulator: Simulator, design: Design,
     # digital, communication.
     base_slots = float(len(participating))
     if len(feasible_survivors) == len(group):
-        slots_f = _np.array([base_slots + options.exposure_slots
+        slots_f = np.array([base_slots + options.exposure_slots
                              for _, options in group])
     else:
-        slots_f = _np.array([base_slots + group[i][1].exposure_slots
+        slots_f = np.array([base_slots + group[i][1].exposure_slots
                              for i in feasible_survivors])
     delay_f = budget_f / slots_f
-    breakdowns = [lowered[usage.array.name] if usage.ops > 0 else None
-                  for usage in participating]
+    report = EnergyReport(system_name=design.system.name,
+                          frame_rate=frame_rate_f, frame_time=frame_time_f,
+                          digital_latency=digital_latency,
+                          analog_stage_delay=delay_f)
     try:
-        entries: List[VectorEntry] = []
-        entries.extend(analog_energy_batch(participating, delay_f,
-                                           breakdowns))
-        entries.extend(digital_energy_batch(design.system, timeline,
-                                            frame_time_f))
-        comm_entries = _run_pass(
+        report.extend(analog_energy(participating, delay_f,
+                                    kernels=lowered))
+        report.extend(digital_energy(design.system, timeline,
+                                     frame_time_f))
+        report.extend(_run_pass(
             "comm_energy", memo, counters,
             lambda: communication_energy(design.graph, design.system,
                                          design.mapping,
-                                         resolved=resolved))
-        entries.extend(VectorEntry(name=entry.name,
-                                   category=entry.category,
-                                   layer=entry.layer, energy=entry.energy,
-                                   stage=entry.stage)
-                       for entry in comm_entries)
+                                         resolved=resolved)))
     except CamJError as error:
         for i in feasible_survivors:
             params, options = group[i]
@@ -495,25 +417,24 @@ def _evaluate_lowered(simulator: Simulator, design: Design,
                 offers.append(offer)
         return points, hits
 
-    batch = VectorBatch(design, len(feasible_survivors), frame_rate_f,
-                        frame_time_f, digital_latency, entries)
+    size = len(feasible_survivors)
+    entries = report.entries
 
     # Metrics, column-wise, in objective order.  A failing metric is
     # design-wide here (per-point metric failures cannot arise from the
-    # built-in vector extractors), so it fails every batch point with
+    # built-in extractors), so it fails every point of the group with
     # the object path's message.
     columns: List[Tuple[str, List[float]]] = []
     metric_error: Optional[CamJError] = None
     failed_objective: Optional[Metric] = None
     for objective in objectives:
         try:
-            raw = objective.vector(design, batch)
+            raw = objective.extract(design, report)
         except CamJError as error:
             metric_error = error
             failed_objective = objective
             break
-        columns.append((objective.name,
-                        batch.materialize(raw).tolist()))
+        columns.append((objective.name, _column(raw, size).tolist()))
     design_name = design.name
     system_name = design.system.name
     if metric_error is not None:
@@ -538,9 +459,9 @@ def _evaluate_lowered(simulator: Simulator, design: Design,
                             column)))
         return points, hits
 
-    bottlenecks: List[Optional[Bottleneck]] = [None] * batch.size
+    bottlenecks: List[Optional[Bottleneck]] = [None] * size
     if annotate:
-        bottlenecks = _vector_bottlenecks(batch)
+        bottlenecks = _vector_bottlenecks(report, size)
 
     delay_list = delay_f.tolist()
     frame_time_f_list = frame_time_f.tolist()
@@ -566,7 +487,7 @@ def _materialize_report(design_name: str, system_name: str,
                         design_hash: str, options: SimOptions,
                         frame_time: float, digital_latency: float,
                         analog_stage_delay: float,
-                        entries: List[VectorEntry],
+                        entries: List[EnergyEntry],
                         column: int) -> SimResult:
     """Rebuild one feasible point's full, bit-identical report.
 
@@ -582,7 +503,7 @@ def _materialize_report(design_name: str, system_name: str,
     report.extend(EnergyEntry(
         name=entry.name, category=entry.category, layer=entry.layer,
         energy=(float(entry.energy[column])
-                if isinstance(entry.energy, _np.ndarray)
+                if isinstance(entry.energy, np.ndarray)
                 else entry.energy),
         stage=entry.stage) for entry in entries)
     return SimResult(design_name=design_name, options=options,

@@ -1,4 +1,4 @@
-"""Vectorized mirrors of the A-Cell / component / array energy models.
+"""Vectorized A-Cell / component / array energy kernels.
 
 Used by the explore engine's structure-of-arrays fast path
 (:mod:`repro.explore.vector`): an eligible design is *lowered* once into
@@ -20,21 +20,13 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict
 
+import numpy as np
+
 from repro.exceptions import VectorUnsupported
 from repro.hw.analog.adc_fom import walden_fom_batch
 from repro.hw.analog.array import AnalogArray
 from repro.hw.analog.cells import DynamicCell, NonLinearCell, StaticCell
 from repro.hw.analog.components import AnalogComponent
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the image
-    _np = None
-
-
-def numpy_available() -> bool:
-    """Whether the NumPy fast path can run at all."""
-    return _np is not None
 
 
 def _lower_cell(cell) -> Callable:
@@ -97,7 +89,7 @@ def lower_component(component: AnalogComponent) -> Callable:
 
     def energy_per_access(component_delay):
         slot = component_delay / num_slots
-        total = _np.zeros_like(component_delay)
+        total = np.zeros_like(component_delay)
         for usage, index, kernel in plan:
             if index is not None:
                 elapsed_before = index * slot

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from repro import units
+from repro.columns import any_true
 from repro.exceptions import ConfigurationError
 from repro.hw.layer import SENSOR_LAYER
 
@@ -122,8 +123,11 @@ class DigitalMemory:
         return words * self.read_energy_per_word
 
     def leakage_energy(self, frame_time: float) -> float:
-        """Leakage over the powered fraction of one frame (Eq. 16)."""
-        if frame_time <= 0:
+        """Leakage over the powered fraction of one frame (Eq. 16).
+
+        ``frame_time`` may be a per-point column (:mod:`repro.columns`).
+        """
+        if any_true(frame_time <= 0):
             raise ConfigurationError(
                 f"memory {self.name!r}: frame time must be positive")
         return self.leakage_power * frame_time * self.duty_alpha

@@ -56,7 +56,7 @@ _PERCENTILE_RE = re.compile(r"^p(\d{1,2})$")
 ROBUST_YIELD = register_metric(Metric(
     name="robust_yield", unit="fraction", goal="max",
     extract=lambda design, report: 1.0,
-    vector=lambda design, batch: 1.0,
+    elementwise=True,
     description="Feasible fraction of a point's variation ensemble "
                 "(1.0 for any feasible nominal evaluation)."))
 

@@ -14,8 +14,8 @@ energy — are memoized in a :class:`PassMemo`, so re-running one design
 under different :class:`~repro.api.result.SimOptions` (a frame-rate or
 exposure-slot sweep) recomputes only the option-dependent passes.
 :class:`~repro.api.Simulator` shares one memo per design content hash
-across a whole session; :func:`_simulate_graph_monolithic` keeps the
-pre-split single-body engine as the equivalence-test reference.
+across a whole session; the analog energy pass reads the memoized
+analog usages instead of walking the analog wiring again.
 
 :func:`simulate` is the thin functional wrapper kept for backward
 compatibility; new code should prefer the session API
@@ -180,10 +180,9 @@ def _simulate_graph(graph: StageGraph, system: SensorSystem,
     design passes the same memo each time and pays for the timeline,
     the analog usage walk, the cycle-accurate latency, and the
     communication energy exactly once.  ``counters`` (if given) records
-    which passes actually executed.  With neither, every call behaves
-    like the pre-split monolithic engine
-    (:func:`_simulate_graph_monolithic`), producing bit-identical
-    reports.
+    which passes actually executed.  With or without either, the report
+    is bit-identical (``tests/test_passes.py`` holds the single-body
+    reference engine this is checked against).
     """
     if not mapping_validated:
         mapping.validate(graph, system)
@@ -229,9 +228,7 @@ def _simulate_graph(graph: StageGraph, system: SensorSystem,
         analog_stage_delay=timing.analog_stage_delay)
     report.extend(_run_pass(
         "analog_energy", memo, counters,
-        lambda: analog_energy(graph, system, mapping,
-                              timing.analog_stage_delay,
-                              resolved=resolved)))
+        lambda: analog_energy(participating, timing.analog_stage_delay)))
     report.extend(_run_pass(
         "digital_energy", memo, counters,
         lambda: digital_energy(system, timeline, timing.frame_time)))
@@ -239,56 +236,6 @@ def _simulate_graph(graph: StageGraph, system: SensorSystem,
         "comm_energy", memo, counters,
         lambda: communication_energy(graph, system, mapping,
                                      resolved=resolved)))
-    return report
-
-
-def _simulate_graph_monolithic(graph: StageGraph, system: SensorSystem,
-                               mapping: Mapping, frame_rate: float,
-                               exposure_slots: int = 1,
-                               cycle_accurate: bool = False,
-                               skip_checks: bool = False,
-                               mapping_validated: bool = False,
-                               resolved: Optional[Dict[str, object]] = None
-                               ) -> EnergyReport:
-    """The pre-split single-body engine, kept as the equivalence oracle.
-
-    Ground truth for the pass-level engine: tests assert that
-    :func:`_simulate_graph` — memoized or not — produces bit-identical
-    :class:`EnergyReport` payloads to this body for every option
-    combination.  Not used on any production path.
-    """
-    if not mapping_validated:
-        mapping.validate(graph, system)
-    if resolved is None:
-        resolved = mapping.resolve(graph, system, validate=False)
-    if not skip_checks:
-        run_pre_simulation_checks(graph, system, mapping, resolved=resolved)
-
-    timeline = simulate_digital(graph, system, mapping, resolved=resolved)
-    digital_latency = timeline.total_latency
-    if cycle_accurate:
-        digital_latency = cycle_accurate_latency(graph, system, mapping,
-                                                 resolved=resolved)
-
-    participating = analog_usage(graph, system, mapping, resolved=resolved)
-    timing = estimate_frame_timing(
-        frame_rate=frame_rate,
-        digital_latency=digital_latency,
-        num_analog_arrays=len(participating),
-        exposure_slots=exposure_slots)
-
-    report = EnergyReport(
-        system_name=system.name,
-        frame_rate=frame_rate,
-        frame_time=timing.frame_time,
-        digital_latency=digital_latency,
-        analog_stage_delay=timing.analog_stage_delay)
-    report.extend(analog_energy(graph, system, mapping,
-                                timing.analog_stage_delay,
-                                resolved=resolved))
-    report.extend(digital_energy(system, timeline, timing.frame_time))
-    report.extend(communication_energy(graph, system, mapping,
-                                       resolved=resolved))
     return report
 
 

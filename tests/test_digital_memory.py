@@ -1,5 +1,6 @@
 """Tests for digital memory structures (Eq. 16)."""
 
+import numpy as np
 import pytest
 
 from repro import units
@@ -79,6 +80,17 @@ class TestLeakage:
     def test_frame_time_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             _fifo().leakage_energy(0.0)
+
+    def test_frame_time_column_must_be_positive(self):
+        with pytest.raises(ConfigurationError, match="positive"):
+            _fifo().leakage_energy(np.array([1 / 30, 0.0]))
+
+    def test_frame_time_column_leaks_per_point(self):
+        fifo = _fifo(leakage_power=1 * units.uW, duty_alpha=0.5)
+        frame_times = [1 / 15, 1 / 30, 1 / 60]
+        leakage = fifo.leakage_energy(np.array(frame_times))
+        assert leakage.tolist() == [fifo.leakage_energy(frame_time)
+                                    for frame_time in frame_times]
 
 
 class TestDoubleBufferFromModel:

@@ -72,8 +72,8 @@ class TestAnalogEnergy:
     def test_entries_tagged_with_category_and_layer(self):
         graph = StageGraph(build_fig5_stages())
         system = build_fig5_system()
-        entries = analog_energy(graph, system, Mapping(FIG5_MAPPING),
-                                analog_stage_delay=5e-3)
+        usages = analog_usage(graph, system, Mapping(FIG5_MAPPING))
+        entries = analog_energy(usages, analog_stage_delay=5e-3)
         assert entries, "expected analog energy entries"
         assert all(e.category is Category.SEN for e in entries)
         assert all(e.layer == SENSOR_LAYER for e in entries)
@@ -91,9 +91,9 @@ class TestAnalogEnergy:
         pixels.set_output(macs)
         system.add_analog_array(pixels)
         system.add_analog_array(macs)
-        entries = analog_energy(StageGraph([source, conv]), system,
-                                Mapping({"Input": "Pixels", "Conv": "MACs"}),
-                                analog_stage_delay=5e-3)
+        usages = analog_usage(StageGraph([source, conv]), system,
+                              Mapping({"Input": "Pixels", "Conv": "MACs"}))
+        entries = analog_energy(usages, analog_stage_delay=5e-3)
         categories = {e.name: e.category for e in entries}
         assert categories["MACs/AnalogMAC"] is Category.COMP_A
         assert categories["Pixels/APS"] is Category.SEN
@@ -108,9 +108,9 @@ class TestAnalogEnergy:
             pixels.add_component(ActivePixelSensor(), (n, n))
             system.add_analog_array(pixels)
             graph = StageGraph([source])
-            entries = analog_energy(graph, system,
-                                    Mapping({"Input": "Pixels"}),
-                                    analog_stage_delay=5e-3)
+            usages = analog_usage(graph, system,
+                                  Mapping({"Input": "Pixels"}))
+            entries = analog_energy(usages, analog_stage_delay=5e-3)
             return sum(e.energy for e in entries)
 
         assert build(64) == pytest.approx(4 * build(32), rel=0.01)

@@ -3,19 +3,25 @@
 The engine (:mod:`repro.sim.simulator`) runs as declared passes
 (:data:`SIM_PASSES`); design-only passes memoize per design, so option
 sweeps re-run only the option-dependent passes — and the result must be
-bit-identical to the pre-split monolithic body, which is kept as
+bit-identical to the pre-split monolithic body, which is kept here as
 :func:`_simulate_graph_monolithic` exactly for these assertions.
 """
 
 import pytest
 
 from repro.api import Design, SimOptions, Simulator
+from repro.energy.analog_model import analog_energy, analog_usage
+from repro.energy.comm_model import communication_energy
+from repro.energy.digital_model import digital_energy
+from repro.energy.report import EnergyReport
+from repro.sim.checks import run_pre_simulation_checks
+from repro.sim.cycle_sim import cycle_accurate_latency, simulate_digital
+from repro.sim.delay import estimate_frame_timing
 from repro.sim.simulator import (
     SIM_PASSES,
     PassCounters,
     PassMemo,
     _simulate_graph,
-    _simulate_graph_monolithic,
 )
 from repro.usecases import UseCaseConfig, build_edgaze, build_rhythmic
 from repro.usecases.fig5 import build_fig5_design
@@ -23,6 +29,49 @@ from repro.usecases.fig5 import build_fig5_design
 _DESIGN_ONLY = {"resolve", "checks", "timeline", "cycle_sim",
                 "analog_usage", "comm_energy"}
 _OPTION_DEPENDENT = {"timing", "analog_energy", "digital_energy"}
+
+
+def _simulate_graph_monolithic(graph, system, mapping, frame_rate,
+                               exposure_slots=1, cycle_accurate=False,
+                               skip_checks=False, mapping_validated=False,
+                               resolved=None):
+    """The pre-split single-body engine, kept as the equivalence oracle.
+
+    Ground truth for the pass-level engine: :func:`_simulate_graph` —
+    memoized or not — must produce bit-identical :class:`EnergyReport`
+    payloads to this body for every option combination.
+    """
+    if not mapping_validated:
+        mapping.validate(graph, system)
+    if resolved is None:
+        resolved = mapping.resolve(graph, system, validate=False)
+    if not skip_checks:
+        run_pre_simulation_checks(graph, system, mapping, resolved=resolved)
+
+    timeline = simulate_digital(graph, system, mapping, resolved=resolved)
+    digital_latency = timeline.total_latency
+    if cycle_accurate:
+        digital_latency = cycle_accurate_latency(graph, system, mapping,
+                                                 resolved=resolved)
+
+    participating = analog_usage(graph, system, mapping, resolved=resolved)
+    timing = estimate_frame_timing(
+        frame_rate=frame_rate,
+        digital_latency=digital_latency,
+        num_analog_arrays=len(participating),
+        exposure_slots=exposure_slots)
+
+    report = EnergyReport(
+        system_name=system.name,
+        frame_rate=frame_rate,
+        frame_time=timing.frame_time,
+        digital_latency=digital_latency,
+        analog_stage_delay=timing.analog_stage_delay)
+    report.extend(analog_energy(participating, timing.analog_stage_delay))
+    report.extend(digital_energy(system, timeline, timing.frame_time))
+    report.extend(communication_energy(graph, system, mapping,
+                                       resolved=resolved))
+    return report
 
 
 class TestPassDeclarations:

@@ -1,5 +1,6 @@
 """Tests for the energy report."""
 
+import numpy as np
 import pytest
 
 from repro import units
@@ -73,6 +74,35 @@ class TestEntries:
     def test_negative_energy_rejected(self):
         with pytest.raises(ConfigurationError):
             EnergyEntry("X", Category.SEN, "sensor", -1.0)
+
+    def test_negative_element_of_a_column_rejected(self):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            EnergyEntry("X", Category.SEN, "sensor",
+                        np.array([1.0, -1.0, 2.0]))
+
+    def test_column_report_rolls_up_per_point(self):
+        rates = [15.0, 30.0, 60.0]
+        energies = [[1.0, 2.0, 3.0], [0.5, 0.25, 0.125]]
+        column = EnergyReport(system_name="S", frame_rate=np.array(rates),
+                              frame_time=1 / np.array(rates),
+                              digital_latency=1e-3,
+                              analog_stage_delay=5e-3)
+        column.add(EnergyEntry("A", Category.SEN, "sensor",
+                               np.array(energies[0])))
+        column.add(EnergyEntry("B", Category.MEM_D, "sensor",
+                               np.array(energies[1])))
+        column.add(EnergyEntry("C", Category.MEM_D, "sensor", 0.1))
+        for point, rate in enumerate(rates):
+            scalar = EnergyReport(system_name="S", frame_rate=rate,
+                                  frame_time=1 / rate, digital_latency=1e-3,
+                                  analog_stage_delay=5e-3)
+            scalar.add(EnergyEntry("A", Category.SEN, "sensor",
+                                   energies[0][point]))
+            scalar.add(EnergyEntry("B", Category.MEM_D, "sensor",
+                                   energies[1][point]))
+            scalar.add(EnergyEntry("C", Category.MEM_D, "sensor", 0.1))
+            assert column.total_power[point] == scalar.total_power
+            assert column.digital_energy[point] == scalar.digital_energy
 
     def test_table_rendering(self):
         text = _report().to_table()

@@ -7,12 +7,17 @@ metrics, failures, bottlenecks — with plain equality, never tolerances.
 """
 
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
 from repro.api import Simulator
 from repro.api.registry import available_usecases
+from repro.energy.report import Category
 from repro.exceptions import ConfigurationError, SerializationError
 from repro.explore import (
     ENGINE_COUNTERS,
@@ -27,14 +32,7 @@ from repro.explore import (
     zipped,
 )
 from repro.explore.metrics import _REGISTRY, available_metrics
-from repro.explore.vector import (
-    VECTOR_MIN_POINTS,
-    numpy_available,
-    vector_support_error,
-)
-
-pytestmark = pytest.mark.skipif(not numpy_available(),
-                                reason="vector engine needs numpy")
+from repro.explore.vector import VECTOR_MIN_POINTS, vector_support_error
 
 #: Design-parameter axes of each registered usecase builder.
 _DESIGN_AXES = {
@@ -94,13 +92,18 @@ class TestEquivalence:
             == json.dumps(document_object, sort_keys=True)
 
     def test_every_builtin_metric_matches_exactly(self):
-        space = grid(**{"options.frame_rate":
-                        [9.0, 15.0, 30.0, 60.0, 120.0, 240.0, 2.0e6]})
-        document_object, document_vector, engines = _documents(
-            space, "edgaze", objectives=tuple(available_metrics()))
-        assert engines["vectorized"] == len(space)
-        assert json.dumps(document_vector, sort_keys=True) \
-            == json.dumps(document_object, sort_keys=True)
+        rates = [9.0, 15.0, 30.0, 60.0, 120.0, 240.0, 2.0e6]
+        # A 2D design, a stacked one (power density is the per-layer
+        # maximum), and a three-layer stack.
+        for usecase, design_axes in (("edgaze", {}),
+                                     ("edgaze", {"placement": ["3D-In"]}),
+                                     ("threelayer", {})):
+            space = grid(**{"options.frame_rate": rates}, **design_axes)
+            document_object, document_vector, engines = _documents(
+                space, usecase, objectives=tuple(available_metrics()))
+            assert engines["vectorized"] == len(space), usecase
+            assert json.dumps(document_vector, sort_keys=True) \
+                == json.dumps(document_object, sort_keys=True), usecase
 
     def test_exposure_slots_axis_matches_exactly(self):
         space = grid(**{"options.frame_rate": [30.0, 60.0],
@@ -175,6 +178,25 @@ class TestRouting:
             # metrics (and their callers) may rely on.
             assert all(point.report is not None
                        for point in result.feasible_points)
+        finally:
+            _REGISTRY.pop(name, None)
+
+    def test_custom_elementwise_metric_is_vectorized(self):
+        name = "test-vector-elementwise"
+        register_metric(Metric(
+            name, unit="FPS/W", goal="max",
+            extract=lambda design, report:
+                report.frame_rate / report.total_power
+                + report.category_energy(Category.MEM_D),
+            elementwise=True))
+        try:
+            space = grid(**{"options.frame_rate":
+                            [20.0, 30.0, 40.0, 50.0, 3.0e6]})
+            document_object, document_vector, engines = _documents(
+                space, "edgaze", objectives=(name, "share:MEM-D"))
+            assert engines == {"vectorized": len(space), "fallback": 0}
+            assert json.dumps(document_vector, sort_keys=True) \
+                == json.dumps(document_object, sort_keys=True)
         finally:
             _REGISTRY.pop(name, None)
 
@@ -313,3 +335,19 @@ class TestServeIntegration:
             stats = client.stats()
             assert stats["engines"]["vectorized"] >= 6
             assert set(stats["engines"]) == set(ENGINE_COUNTERS)
+
+
+class TestNumpyBoundary:
+    """Only the vector path needs NumPy; the scalar engine never loads it."""
+
+    def test_scalar_modules_do_not_import_numpy(self):
+        code = ("import sys, repro, repro.energy.report, repro.area.model, "
+                "repro.explore.metrics; print('numpy' in sys.modules)")
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path
+                   else os.pathsep.join([src, path]))
+        output = subprocess.run([sys.executable, "-c", code], check=True,
+                                capture_output=True, text=True,
+                                env=env).stdout
+        assert output.strip() == "False"
