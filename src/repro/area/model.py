@@ -19,7 +19,7 @@ from typing import Dict
 from repro import units
 from repro.columns import maximum
 from repro.exceptions import ConfigurationError
-from repro.energy.report import EnergyReport
+from repro.energy.report import Category, EnergyReport
 from repro.hw.chip import SensorSystem
 from repro.hw.layer import OFF_CHIP
 
@@ -64,9 +64,12 @@ def estimate_area(system: SensorSystem) -> AreaBreakdown:
     return AreaBreakdown(by_layer=by_layer)
 
 
+#: Link-energy categories; Table 3's on-die accounting leaves them out.
+_COMM_CATEGORIES = (Category.MIPI, Category.UTSV)
+
+
 def _is_comm_entry(entry) -> bool:
-    from repro.energy.report import Category
-    return entry.category in (Category.MIPI, Category.UTSV)
+    return entry.category in _COMM_CATEGORIES
 
 
 def layer_power_density(system: SensorSystem, report: EnergyReport,
@@ -77,7 +80,13 @@ def layer_power_density(system: SensorSystem, report: EnergyReport,
     matching Table 3's on-die accounting; pass ``include_comm=True`` to
     fold the transmitter power back in.
     """
-    areas = estimate_area(system)
+    return _layer_densities(system, report, include_comm,
+                            estimate_area(system))
+
+
+def _layer_densities(system: SensorSystem, report: EnergyReport,
+                     include_comm: bool,
+                     areas: AreaBreakdown) -> Dict[str, float]:
     power_by_layer = {}
     for entry in report.entries:
         if entry.layer == OFF_CHIP:
@@ -108,21 +117,19 @@ def power_density(system: SensorSystem, report: EnergyReport,
     designs report the maximum per-layer density (the hotspot bound the
     thermal argument of Sec. 6.2 cares about).
     """
-    densities = layer_power_density(system, report,
-                                    include_comm=include_comm)
+    areas = estimate_area(system)
+    densities = _layer_densities(system, report, include_comm, areas)
     if not densities:
         raise ConfigurationError(
             f"system {system.name!r} has no on-chip area to compute a "
             f"power density over; set pixel geometry or memory areas")
     if system.is_stacked:
         return maximum(densities.values())
-    areas = estimate_area(system)
-    total_area = areas.total
     total_power = sum(entry.energy * report.frame_rate
                       for entry in report.entries
                       if entry.layer != OFF_CHIP
                       and (include_comm or not _is_comm_entry(entry)))
-    return total_power / total_area
+    return total_power / areas.total
 
 
 def format_density(density: float) -> str:

@@ -10,13 +10,16 @@ bit-identically across thread and process executors, across restarts,
 and regardless of evaluation order.  Sample ``0`` is reserved for the
 nominal design and always draws factor ``1.0`` for every parameter.
 
-Perturbation happens on the serialized design payload: deep-copy,
-multiply the addressed numeric fields, decode back through
-:meth:`~repro.api.design.Design.from_dict`.  The perturbed design gets
-its own content hash, so the session cache, batch dedup, and the disk
-tier all work untouched.  An all-ones factor set short-circuits to the
-original design object — the zero-variation ensemble is the nominal
-path, bit for bit.
+Perturbation happens on the serialized design payload.  The nominal
+design is encoded once; each sample copies only the containers a
+parameter group writes (copy-on-write — stages, mapping and wiring are
+shared), multiplies the addressed numeric fields, and decodes just the
+hardware system.  The perturbed :class:`~repro.api.design.Design` reuses
+the nominal's stage graph and mapping, and gets its own content hash,
+so the session cache, batch dedup, and the disk tier all work
+untouched.  An all-ones factor set short-circuits to the original
+design object — the zero-variation ensemble is the nominal path, bit
+for bit.
 
 Named PVT corners (:func:`corner_set`) compile the first-order physics
 of :mod:`repro.tech.corners` into the same parameter-group vocabulary,
@@ -25,16 +28,15 @@ so ``corners()`` and ``monte_carlo()`` speak one language.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import itertools
-import json
 import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Tuple
 
+from repro.api import serialize
 from repro.api.design import Design
 from repro.exceptions import ConfigurationError, SerializationError
 from repro.tech.corners import PvtPoint, standard_pvt_points
@@ -149,17 +151,47 @@ def _check_params(params: Iterable[str], where: str) -> None:
             f"known: {sorted(PARAMETER_GROUPS)}")
 
 
+#: The payload containers the appliers above write, as a copy plan: a
+#: dict names the keys whose values are copied in turn (the dict itself
+#: is copied shallowly), ``[plan]`` copies a list and each element by
+#: ``plan``, ``[]`` copies a list shallowly.  Everything else is shared.
+_WRITTEN = {"system": {
+    "memories": [{}],
+    "compute_units": [{}],
+    "offchip_interface": {},
+    "interlayer_interface": {},
+    "analog_arrays": [{"components": [{"component": {"cells": [
+        {"cell": {"nodes": [[]]}}]}}]}],
+}}
+
+
+def _copy_written(value: Any, plan: Any) -> Any:
+    """``value`` copied along ``plan``, sharing every subtree it omits."""
+    if isinstance(plan, list):
+        if not isinstance(value, (list, tuple)):
+            return value
+        if not plan:
+            return list(value)
+        return [_copy_written(item, plan[0]) for item in value]
+    if not isinstance(value, dict):
+        return value
+    copied = dict(value)
+    for key, inner in plan.items():
+        if key in copied:
+            copied[key] = _copy_written(copied[key], inner)
+    return copied
+
+
 def perturb_payload(payload: Dict[str, Any],
                     factors: Mapping[str, float]) -> Dict[str, Any]:
-    """A deep copy of a design payload with ``factors`` multiplied in."""
+    """``payload`` with ``factors`` multiplied in, leaving it unchanged.
+
+    Only the containers a parameter group writes are copied; untouched
+    subtrees (stages, mapping, layers, wiring lists) are shared with the
+    input, so treat the result as read-only.
+    """
     _check_params(factors, "perturb_payload")
-    try:
-        # A ``repro.design/1`` payload is pure JSON, and a serialize/parse
-        # round trip copies such trees several times faster than
-        # ``copy.deepcopy`` walks them (floats round-trip bit-exactly).
-        perturbed = json.loads(json.dumps(payload))
-    except (TypeError, ValueError):
-        perturbed = copy.deepcopy(payload)
+    perturbed = _copy_written(payload, _WRITTEN)
     system = perturbed.get("system", {})
     for param in sorted(factors):
         factor = factors[param]
@@ -175,7 +207,26 @@ def perturb_payload(payload: Dict[str, Any],
 #: and ride the result cache at full speed.
 _PERTURBED_LIMIT = 1024
 _perturbed_cache: "OrderedDict[Tuple[str, Tuple[Tuple[str, float], ...]], Design]" = OrderedDict()
+#: Recently perturbed base designs' payloads, keyed by content hash, so
+#: an ensemble encodes its nominal once rather than once per sample.
+#: Read-only: perturbed payloads share their untouched subtrees.
+_NOMINAL_LIMIT = 16
+_nominal_payloads: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
 _perturbed_lock = threading.Lock()
+
+
+def _nominal_payload(design: Design, base_hash: str) -> Dict[str, Any]:
+    with _perturbed_lock:
+        payload = _nominal_payloads.get(base_hash)
+        if payload is not None:
+            _nominal_payloads.move_to_end(base_hash)
+            return payload
+    payload = design.to_dict()
+    with _perturbed_lock:
+        _nominal_payloads[base_hash] = payload
+        while len(_nominal_payloads) > _NOMINAL_LIMIT:
+            _nominal_payloads.popitem(last=False)
+    return payload
 
 
 def perturb_design(design: Design,
@@ -183,31 +234,33 @@ def perturb_design(design: Design,
     """``design`` with ``factors`` applied; the identical object when
     every factor is exactly ``1.0`` (the nominal path, bit for bit).
 
-    Perturbed designs are memoized per (base design, factor set) — an
-    ensemble replayed with the same seed returns the same design
-    objects, so the simulator's content-hash cache serves it without
-    re-decoding anything.
+    Only the hardware system is re-decoded: the perturbed design shares
+    ``design``'s stage graph and mapping objects.  Perturbed designs are
+    memoized per (base design, factor set) — an ensemble replayed with
+    the same seed returns the same design objects, so the simulator's
+    content-hash cache serves it without re-decoding anything.
     """
     active = tuple((param, factors[param]) for param in sorted(factors)
                    if factors[param] != 1.0)
     if not active:
         _check_params(factors, "perturb_design")
         return design
-    base_hash = design._content_hash_or_none()
+    # A design without a canonical form raises SerializationError here.
+    base_hash = design.content_hash
     key = (base_hash, active)
-    if base_hash is not None:
-        with _perturbed_lock:
-            cached = _perturbed_cache.get(key)
-            if cached is not None:
-                _perturbed_cache.move_to_end(key)
-                return cached
-    perturbed = Design.from_dict(perturb_payload(design.to_dict(),
-                                                 factors))
-    if base_hash is not None:
-        with _perturbed_lock:
-            _perturbed_cache[key] = perturbed
-            while len(_perturbed_cache) > _PERTURBED_LIMIT:
-                _perturbed_cache.popitem(last=False)
+    with _perturbed_lock:
+        cached = _perturbed_cache.get(key)
+        if cached is not None:
+            _perturbed_cache.move_to_end(key)
+            return cached
+    system = perturb_payload(_nominal_payload(design, base_hash),
+                             factors)["system"]
+    perturbed = Design(design.graph, serialize.decode_system(system),
+                       design.mapping, name=design.name)
+    with _perturbed_lock:
+        _perturbed_cache[key] = perturbed
+        while len(_perturbed_cache) > _PERTURBED_LIMIT:
+            _perturbed_cache.popitem(last=False)
     return perturbed
 
 

@@ -12,15 +12,19 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
+import threading
 
 import pytest
 
 from repro.api.design import Design
 from repro.api.registry import build_usecase
+from repro.api.serialize import encode_cell
 from repro.api.simulator import Simulator
 from repro.exceptions import (ConfigurationError, SerializationError,
                               SimulationError)
 from repro.explore import explore
+from repro.hw.analog import SingleSlopeADC
 from repro.robust import (CORNER_SETS, DEFAULT_METRICS, SAMPLE_AXIS,
                           Corner, Distribution, RobustResult, RobustSpec,
                           VariationModel, corner_from_pvt, corner_set,
@@ -28,8 +32,11 @@ from repro.robust import (CORNER_SETS, DEFAULT_METRICS, SAMPLE_AXIS,
                           load_robust_spec, monte_carlo, perturb_design,
                           perturb_payload, quantile, robust_spec_from_dict,
                           sensitivity, standard_draw, worst_case)
+from repro.robust import variation as variation_module
+from repro.robust.variation import PARAMETER_GROUPS
 from repro.tech.corners import PvtPoint, standard_pvt_points
-from repro.usecases.edgaze import edgaze_space
+from repro.usecases.edgaze import edgaze_configs, edgaze_space
+from repro.validation import ALL_CHIPS
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +189,152 @@ class TestPerturbation:
         perturbed = perturb_payload(fig5_design.to_dict(),
                                     {"analog.comparator_bias": 2.0})
         assert perturbed == fig5_design.to_dict()
+
+
+# --- copy-on-write perturbation ---------------------------------------------
+
+def _round_trip_perturb(design, factors):
+    """Oracle: the full-payload path perturb_design replaces — a JSON
+    round trip of ``design.to_dict()``, the appliers, and a full
+    :meth:`Design.from_dict` decode of stages, system and mapping."""
+    payload = json.loads(json.dumps(design.to_dict()))
+    for param in sorted(factors):
+        if factors[param] != 1.0:
+            PARAMETER_GROUPS[param](payload["system"], factors[param])
+    return Design.from_dict(payload)
+
+
+#: Every built-in use-case builder, each Ed-Gaze placement x node.
+USECASE_BUILDS = (
+    [("fig5", {})]
+    + [("edgaze", {"placement": config.placement,
+                   "cis_node": config.cis_node})
+       for config in edgaze_configs()]
+    + [("rhythmic", {}), ("threelayer", {}), ("edgaze_mixed", {})])
+
+#: Each parameter group alone, a few stock Monte Carlo draws, and every
+#: PVT corner.
+FACTOR_SETS = (
+    [{param: 1.1} for param in sorted(PARAMETER_GROUPS)]
+    + [default_variation().factors(seed, sample)
+       for seed, sample in ((0, 1), (7, 2), (123, 64))]
+    + [dict(corner.factors) for corner in corner_set("pvt")])
+
+
+def _single_slope_fig5():
+    """fig5 with its Walden-FoM ADC cell swapped for the analytical
+    single-slope model — no built-in design carries that cell type."""
+    payload = build_usecase("fig5").to_dict()
+    converter = encode_cell(SingleSlopeADC().cell_usages[0].cell)
+    for array in payload["system"]["analog_arrays"]:
+        for entry in array["components"]:
+            for usage in entry["component"]["cells"]:
+                if usage["cell"]["type"] == "nonlinear":
+                    usage["cell"] = converter
+    return Design.from_dict(payload)
+
+
+#: Use cases, the validation chips (set ADC energies) and the
+#: single-slope variant: together they give every group a field.
+DESIGN_BUILDS = (
+    [(f"{name}-{'-'.join(map(str, params.values()))}".rstrip("-"),
+      lambda name=name, params=params: build_usecase(name, **params))
+     for name, params in USECASE_BUILDS]
+    + [(chip.name, lambda chip=chip: Design(*chip.build(), name=chip.name))
+       for chip in ALL_CHIPS]
+    + [("fig5-single-slope", _single_slope_fig5)])
+
+
+class TestCopyOnWritePerturbation:
+    @pytest.mark.parametrize("build", [build for _, build in DESIGN_BUILDS],
+                             ids=[label for label, _ in DESIGN_BUILDS])
+    def test_matches_round_trip_oracle(self, build):
+        design = build()
+        for factors in FACTOR_SETS:
+            fast = perturb_design(design, factors)
+            oracle = _round_trip_perturb(design, factors)
+            assert fast.content_hash == oracle.content_hash, factors
+            assert fast.to_dict() == oracle.to_dict(), factors
+
+    def test_every_group_moves_some_design(self):
+        # The oracle comparison above is vacuous for a group no design
+        # has a field for; every group must change at least one hash.
+        designs = [build() for _, build in DESIGN_BUILDS]
+        for param in PARAMETER_GROUPS:
+            assert any(perturb_design(design, {param: 1.1}).content_hash
+                       != design.content_hash for design in designs), param
+
+    def test_samples_never_alias(self):
+        design = build_usecase("edgaze", placement="3D-In", cis_node=130)
+        nominal = design.to_json()
+        every_group = {param: 1.0 + 0.01 * (rank + 1) for rank, param
+                       in enumerate(sorted(PARAMETER_GROUPS))}
+        first = perturb_design(design, every_group)
+        first_payload = first.to_json()
+        memoized = variation_module._nominal_payload(design,
+                                                     design.content_hash)
+        assert json.dumps(memoized, sort_keys=True, indent=2) == nominal
+        for scale in (0.5, 2.0, 3.0):
+            perturb_design(design, {param: factor * scale for param, factor
+                                    in every_group.items()})
+        assert first.to_json() == first_payload
+        assert design.to_json() == nominal
+        assert json.dumps(memoized, sort_keys=True, indent=2) == nominal
+
+    def test_shares_graph_and_mapping(self):
+        design = build_usecase("rhythmic")
+        perturbed = perturb_design(design, {"memory.leakage_power": 1.2345})
+        assert perturbed is not design
+        assert perturbed.graph is design.graph
+        assert perturbed.mapping is design.mapping
+        assert perturbed.name == design.name
+        assert perturbed.system is not design.system
+
+    def test_concurrent_perturbation_matches_oracle(self):
+        # Threads race on the shared nominal-payload memo; every sample
+        # must still equal its round-trip oracle and the memo stay clean.
+        design = build_usecase("threelayer")
+        nominal = design.to_dict()
+        work = [default_variation().factors(424_243, sample)
+                for sample in range(1, 49)]
+        expected = [_round_trip_perturb(design, factors).content_hash
+                    for factors in work]
+        results = [None] * len(work)
+
+        def perturb(worker):
+            for index in range(worker, len(work), 8):
+                results[index] = perturb_design(design, work[index])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=perturb, args=(worker,))
+                       for worker in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [result.content_hash for result in results] == expected
+        assert variation_module._nominal_payload(
+            design, design.content_hash) == nominal
+
+    def test_cold_study_runs_every_design_pass_once(self):
+        # Mirrors the benchmark's cold guard: a fresh nominal and a
+        # never-seen seed must run each memoized pass once per design
+        # (64 samples + the nominal) with no cache hit — perturbed
+        # designs sharing the stage graph must not share pass memos.
+        design = build_usecase("edgaze", placement="2D-In", cis_node=65)
+        with Simulator() as sim:
+            result = monte_carlo(design, default_variation(), samples=64,
+                                 seed=731_591, simulator=sim)
+            passes, info = sim.pass_info(), sim.cache_info()
+        assert result.accounting == {"total": 64, "ok": 64, "failed": 0}
+        assert info.hits == 0
+        for name in ("timeline", "analog_usage", "comm_energy"):
+            assert passes[name] == 65, (name, passes)
 
 
 # --- corners ---------------------------------------------------------------
