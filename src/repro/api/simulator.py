@@ -9,11 +9,12 @@ an in-memory dict always, plus an opt-in disk tier
 (``Simulator(cache_dir=...)`` or the ``REPRO_CACHE_DIR`` environment
 variable) that keeps results warm across processes and CLI invocations.
 
-Worker pools are created lazily on the first batch that needs one and
-reused for every batch after it — ``explore()`` over many batches pays
-pool startup once.  ``Simulator.close()`` (or using the session as a
-context manager) releases the workers; a closed session stays usable
-and simply recreates its pools on demand.
+The execution backend owns its worker pool: created lazily on the
+first batch that needs one and reused for every batch after it —
+``explore()`` over many batches pays pool startup once.
+``Simulator.close()`` (or using the session as a context manager)
+releases the workers; a closed session stays usable and the backend
+simply recreates its pool on demand.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import time
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 import repro.exec  # noqa: F401  (registers the built-in executor backends)
@@ -44,9 +44,10 @@ from repro.sim.simulator import PassCounters, PassMemo, _simulate_graph
 #: ``(design, options)`` pair.
 BatchItem = Union[Design, Tuple[Design, SimOptions]]
 
-#: Back-compat aliases — the canonical homes are :mod:`repro.exec.base`.
-_UNCACHED = UNCACHED
-_cacheable = cacheable_result
+#: The resilience events a batch tallies (the counter fields of
+#: :class:`BatchStats`).
+_RESILIENCE_EVENTS = ("retries", "timeouts", "pool_rebuilds",
+                      "quarantined", "lease_expiries")
 
 #: Sentinel for "no cache_dir argument given": fall back to
 #: ``REPRO_CACHE_DIR``.
@@ -145,13 +146,14 @@ class Simulator:
         ships each design's serialized payload to a
         :class:`~concurrent.futures.ProcessPoolExecutor` worker, which
         sidesteps the GIL for CPU-bound batches on multi-core machines;
-        ``"inline"`` runs sequentially in the calling thread.  Either
-        pool is created once and reused across batches; process workers
-        keep their initializer state (warmed imports) for the lifetime
-        of the session.  ``None`` defers to the ``REPRO_EXECUTOR``
-        environment variable, falling back to ``"thread"``.  Backends
-        needing construction arguments (the ``distributed`` executor
-        takes its work queue) are passed as instances.
+        ``"inline"`` runs sequentially in the calling thread.  The
+        backend owns its pool, created once and reused across batches;
+        process workers keep their initializer state (warmed imports)
+        for the lifetime of the pool.  ``None`` defers to the
+        ``REPRO_EXECUTOR`` environment variable, falling back to
+        ``"thread"``.  Backends needing construction arguments (the
+        ``distributed`` executor takes its work queue) are passed as
+        instances.
     cache_dir:
         Directory of the persistent result-cache tier.  Unset: honor
         the ``REPRO_CACHE_DIR`` environment variable.  ``None``: disk
@@ -167,8 +169,8 @@ class Simulator:
 
     The session is thread-safe: ``run`` may be called concurrently,
     which is exactly what ``run_many`` does.  Sessions are context
-    managers — ``with Simulator() as sim: ...`` shuts the worker pools
-    down on exit.
+    managers — ``with Simulator() as sim: ...`` shuts the backend's
+    worker pool down on exit.
     """
 
     def __init__(self, options: Optional[SimOptions] = None, *,
@@ -184,7 +186,6 @@ class Simulator:
         self.options = options if options is not None else SimOptions()
         self._max_workers = max_workers
         self._executor = resolve_executor(executor)
-        self._executor_kind = self._executor.name
         self._cache_enabled = cache
         self._cache: Dict[Tuple[str, SimOptions], SimResult] = {}
         self._cache_hits = 0
@@ -229,18 +230,9 @@ class Simulator:
         self._pass_counters = PassCounters()
         self._retry = retry if retry is not None else RetryPolicy.from_env()
         #: Session-lifetime resilience counters (sums of BatchStats).
-        self._resilience_totals = {"retries": 0, "timeouts": 0,
-                                   "pool_rebuilds": 0, "quarantined": 0,
-                                   "lease_expiries": 0}
+        self._resilience_totals = dict.fromkeys(_RESILIENCE_EVENTS, 0)
         self._lock = threading.Lock()
-        #: Guards pool creation/growth and submission, so a batch never
-        #: submits into a pool another thread just retired by growing it.
-        self._pools_lock = threading.Lock()
         self._terminal = False
-        self._thread_pool: Optional[ThreadPoolExecutor] = None
-        self._thread_pool_width = 0
-        self._process_pool: Optional[ProcessPoolExecutor] = None
-        self._process_pool_width = 0
         self.last_batch_stats: Optional[BatchStats] = None
 
     # --- session lifecycle ------------------------------------------------
@@ -248,7 +240,7 @@ class Simulator:
     def close(self, wait: bool = True, *,
               cancel_pending: bool = False,
               terminal: bool = False) -> None:
-        """Shut down the session's persistent worker pools.
+        """Shut down the execution backend's persistent worker pool.
 
         Idempotent and safe to call from any thread, including
         concurrently with in-flight ``run_many`` batches (their
@@ -259,24 +251,16 @@ class Simulator:
 
         ``wait=False`` returns without joining the workers;
         ``cancel_pending=True`` additionally cancels jobs still queued
-        inside the pools (interrupt paths use both so a dying process
+        inside the pool (interrupt paths use both so a dying process
         never drains a long queue).  ``terminal=True`` closes the
         session *permanently*: later batches raise instead of silently
         resurrecting pools — what a daemon wants after its final
         shutdown.  Cached single-design ``run()`` calls keep working
         either way; they never touch a pool.
         """
-        with self._pools_lock:
-            if terminal:
-                self._terminal = True
-            for pool in (self._thread_pool, self._process_pool):
-                if pool is not None:
-                    pool.shutdown(wait=wait, cancel_futures=cancel_pending)
-            self._thread_pool = None
-            self._thread_pool_width = 0
-            self._process_pool = None
-            self._process_pool_width = 0
-        self._executor.close(self)
+        if terminal:
+            self._terminal = True
+        self._executor.close(wait, cancel_pending=cancel_pending)
 
     @property
     def closed(self) -> bool:
@@ -285,14 +269,14 @@ class Simulator:
 
     def pool_info(self) -> Dict[str, Any]:
         """Live worker-pool state, for daemons and dashboards."""
-        with self._pools_lock:
-            return {
-                "executor": self._executor_kind,
-                "max_workers": self._max_workers,
-                "thread_pool_width": self._thread_pool_width,
-                "process_pool_width": self._process_pool_width,
-                "terminal": self._terminal,
-            }
+        widths = self._executor.pool_widths()
+        return {
+            "executor": self._executor.name,
+            "max_workers": self._max_workers,
+            "thread_pool_width": widths.get("thread", 0),
+            "process_pool_width": widths.get("process", 0),
+            "terminal": self._terminal,
+        }
 
     def executor_info(self) -> Dict[str, Any]:
         """The session's execution backend, self-described.
@@ -321,18 +305,6 @@ class Simulator:
     def __exit__(self, *exc_info) -> bool:
         self.close()
         return False
-
-    def __del__(self):
-        # Sessions dropped without close() must not strand idle pool
-        # workers until interpreter exit; no waiting here — GC must not
-        # block on in-flight work.
-        try:
-            for pool in (getattr(self, "_thread_pool", None),
-                         getattr(self, "_process_pool", None)):
-                if pool is not None:
-                    pool.shutdown(wait=False)
-        except Exception:  # pragma: no cover - interpreter teardown
-            pass
 
     # --- single runs ------------------------------------------------------
 
@@ -367,10 +339,33 @@ class Simulator:
             if hit is not None:
                 return replace(hit, cached=True)
         result = self._execute(design, options, key, attempt=attempt)
-        if key is not None and self._cache_enabled \
-                and _cacheable(result):
+        if key is not None:
             self._store(key, result)
         return result
+
+    def _run_attempts(self, design: Design, options: SimOptions,
+                      backoff_key: Any, *, base_attempt: int = 0,
+                      probe_disk: bool = False,
+                      counters: Optional["_BatchCounters"] = None
+                      ) -> SimResult:
+        """One task through :meth:`_run_resolved`, retried per policy.
+
+        The attempt loop of every backend.  The policy and the backoff
+        count attempts from 0; ``base_attempt`` (a distributed task's
+        leased attempt) is added only for the fault injector.
+        ``probe_disk=False``: the batch already disk-probed the key.
+        """
+        policy = self._retry
+        attempt = 0
+        while True:
+            result = self._run_resolved(design, options, probe_disk,
+                                        attempt=base_attempt + attempt)
+            if not policy.should_retry(attempt, result.error):
+                return result
+            if counters is not None:
+                counters.add("retries")
+            time.sleep(policy.backoff_s(attempt, backoff_key))
+            attempt += 1
 
     def _execute(self, design: Design, options: SimOptions,
                  key: Optional[Tuple[str, SimOptions]],
@@ -410,10 +405,8 @@ class Simulator:
     def _job_key(self, design: Design, options: SimOptions
                  ) -> Optional[Tuple[str, SimOptions]]:
         """Content identity of one job; ``None`` when unserializable."""
-        try:
-            return (design.content_hash, options)
-        except SerializationError:
-            return None
+        design_hash = self.design_key(design)
+        return (design_hash, options) if design_hash is not None else None
 
     def design_key(self, design: Design) -> Optional[str]:
         """The design's content hash, or ``None`` when unserializable."""
@@ -478,39 +471,36 @@ class Simulator:
         if probe_disk and self._disk_cache is not None:
             persisted = self._disk_cache.get(key[0], key[1])
             if persisted is not None:
+                self._store(key, persisted, disk=False)
                 with self._lock:
                     self._cache_hits += 1
-                    self._cache.setdefault(key, persisted)
-                    self._cache_hashes.add(key[0])
                 return persisted
         if count_miss:
-            with self._lock:
-                self._cache_misses += 1
+            self._count_misses(1)
         return None
 
-    def _store(self, key: Tuple[str, SimOptions],
-               result: SimResult) -> None:
-        """Publish one executed result to both cache tiers."""
+    def _count_misses(self, count: int) -> None:
+        """Count ``count`` cache misses (no-op when caching is off)."""
+        if self._cache_enabled:
+            with self._lock:
+                self._cache_misses += count
+
+    def _store(self, key: Tuple[str, SimOptions], result: SimResult,
+               disk: bool = True) -> None:
+        """Publish one executed result to the cache tiers.
+
+        No-op when caching is off or the result is not
+        :func:`~repro.exec.base.cacheable_result`.  ``disk=False``
+        stores to the memory tier only — for a result whose producer
+        already wrote the shared disk tier.
+        """
+        if not self._cache_enabled or not cacheable_result(result):
+            return
         with self._lock:
             self._cache.setdefault(key, result)
             self._cache_hashes.add(key[0])
-        if self._disk_cache is not None:
+        if disk and self._disk_cache is not None:
             self._disk_cache.put(key[0], key[1], result)
-
-    def probe_result(self, key: Optional[Tuple[str, SimOptions]]
-                     ) -> Optional[SimResult]:
-        """Probe the result cache for one job key, counting hit or miss.
-
-        The vectorized explore path uses this to give every point the
-        same cache behavior a cold :meth:`run` would have — including
-        the miss counter on absent keys.  ``None`` on miss, on ``None``
-        keys (unserializable designs), and when caching is disabled
-        (mirroring :meth:`run`, which skips the probe entirely then).
-        """
-        if key is None or not self._cache_enabled:
-            return None
-        hit = self._probe_cache(key)
-        return replace(hit, cached=True) if hit is not None else None
 
     def design_probe_needed(self, design_hash: str, count: int) -> bool:
         """Whether probing ``count`` keys of one design could hit at all.
@@ -520,7 +510,7 @@ class Simulator:
         tier.  The miss counters are bulk-updated here, so the caller
         may skip per-key probing with identical observable behavior.
         (``False`` with no counter change when caching is disabled,
-        mirroring :meth:`probe_result`.)
+        mirroring :meth:`probe_results`.)
         """
         if not self._cache_enabled:
             return False
@@ -528,18 +518,19 @@ class Simulator:
                 or design_hash in self._cache_hashes \
                 or design_hash in self._backfill_hashes:
             return True
-        with self._lock:
-            self._cache_misses += count
+        self._count_misses(count)
         return False
 
     def probe_results(self, keys) -> List[Optional[SimResult]]:
-        """Bulk :meth:`probe_result` over a whole group of job keys.
+        """Probe the result cache for a whole group of job keys.
 
-        Observable behavior (hits returned and promoted, counters
-        ticked) matches probing each key individually, but each tier is
-        consulted in one sweep — at most one lock round-trip for the
-        backfill tier and one for the counters, instead of one per
-        point.
+        Gives every point the cache behavior a cold :meth:`run` would
+        have: hits come back ``cached=True`` and promoted, absent and
+        ``None`` keys (unserializable designs) come back ``None``, and
+        the hit/miss counters tick; with caching off, all ``None`` and
+        no counter change.  Each tier is consulted in one sweep — at
+        most one lock round-trip for the backfill tier and one for the
+        counters, instead of one per point.
         """
         if not self._cache_enabled:
             return [None] * len(keys)
@@ -592,9 +583,7 @@ class Simulator:
                     still.append(position)
                     continue
                 hits += 1
-                with self._lock:
-                    cache.setdefault(key, persisted)
-                    self._cache_hashes.add(key[0])
+                self._store(key, persisted, disk=False)
                 out[position] = replace(persisted, cached=True)
             remaining = still
         if hits or remaining:
@@ -619,18 +608,7 @@ class Simulator:
         Bounded (oldest offers dropped); no-op when caching is off, the
         key is ``None``, or the key is already cached.
         """
-        if key is None or not self._cache_enabled:
-            return
-        if self._cache.get(key) is not None:
-            return
-        with self._lock:
-            if key in self._vector_backfill:
-                self._vector_backfill.move_to_end(key)
-            else:
-                self._backfill_hashes[key[0]] = \
-                    self._backfill_hashes.get(key[0], 0) + 1
-            self._vector_backfill[key] = thunk
-            self._evict_backfill()
+        self.offer_results([(key, thunk)])
 
     def offer_results(self, offers, same_hash: Optional[str] = None
                       ) -> None:
@@ -737,7 +715,7 @@ class Simulator:
                     # assembly loop below runs these in-line.
                     slots.append((None, design, resolved))
                     continue
-                key = (_UNCACHED, index)
+                key = (UNCACHED, index)
             if key in unique:
                 deduplicated += 1
             else:
@@ -753,7 +731,7 @@ class Simulator:
         outcomes: Dict[Any, SimResult] = {}
         pending: Dict[Any, Tuple[Design, SimOptions]] = {}
         for key, job in unique.items():
-            if self._cache_enabled and key[0] is not _UNCACHED:
+            if self._cache_enabled and key[0] is not UNCACHED:
                 # Misses are not counted here: pending jobs re-probe (and
                 # count) inside run() on their worker.
                 hit = self._probe_cache(key, count_miss=False)
@@ -772,7 +750,7 @@ class Simulator:
 
         if pending:
             max_workers = max(max_workers,
-                              self._executor.pool_width_floor(self))
+                              self._executor.pool_width_floor())
             outcomes.update(self._executor.run_pending(
                 self, pending, max_workers, worker_ids, counters))
 
@@ -786,67 +764,16 @@ class Simulator:
                 results.append(outcomes[key])
 
         with self._lock:
-            self._resilience_totals["retries"] += counters.retries
-            self._resilience_totals["timeouts"] += counters.timeouts
-            self._resilience_totals["pool_rebuilds"] += \
-                counters.pool_rebuilds
-            self._resilience_totals["quarantined"] += counters.quarantined
-            self._resilience_totals["lease_expiries"] += \
-                counters.lease_expiries
+            for event, count in counters.counts.items():
+                self._resilience_totals[event] += count
         self.last_batch_stats = BatchStats(
             total=len(jobs), unique=len(jobs) - deduplicated,
             cache_hits=batch_hits,
             max_workers=max_workers,
             workers_used=len(worker_ids) + (1 if ran_inline else 0),
             elapsed_s=time.perf_counter() - started,
-            retries=counters.retries, timeouts=counters.timeouts,
-            pool_rebuilds=counters.pool_rebuilds,
-            quarantined=counters.quarantined,
-            lease_expiries=counters.lease_expiries)
+            **counters.counts)
         return results
-
-    def _acquire_pool(self, kind: str, width: int):
-        """Get the persistent pool of ``kind``, growing it on demand.
-
-        Must be called under ``_pools_lock``.  Growth replaces the pool;
-        the retired one drains its in-flight work and exits without
-        blocking the caller.  Pools never shrink — idle workers are
-        cheap next to re-paying startup on the next wide batch.
-        """
-        if self._terminal:
-            raise ConfigurationError(
-                "session was terminally closed; create a new Simulator "
-                "to run further batches")
-        if kind == "process":
-            pool, current = self._process_pool, self._process_pool_width
-        else:
-            pool, current = self._thread_pool, self._thread_pool_width
-        if pool is not None and current >= width:
-            return pool
-        if pool is not None:
-            pool.shutdown(wait=False)
-        if kind == "process":
-            from repro.exec.local import _init_worker
-            pool = ProcessPoolExecutor(max_workers=width,
-                                       initializer=_init_worker)
-            self._process_pool, self._process_pool_width = pool, width
-        else:
-            pool = ThreadPoolExecutor(
-                max_workers=width,
-                thread_name_prefix="repro-simulator")
-            self._thread_pool, self._thread_pool_width = pool, width
-        return pool
-
-    def _retire_pool(self, kind: str, pool) -> None:
-        """Drop a broken executor so the next batch recreates one."""
-        with self._pools_lock:
-            if kind == "process" and self._process_pool is pool:
-                self._process_pool = None
-                self._process_pool_width = 0
-            elif kind == "thread" and self._thread_pool is pool:
-                self._thread_pool = None
-                self._thread_pool_width = 0
-        pool.shutdown(wait=False)
 
     def _normalize_item(self, item: BatchItem,
                         options: Optional[SimOptions]
@@ -917,20 +844,15 @@ class _BatchCounters:
     lock; ``run_many`` reads them only after every worker is done.
     """
 
-    __slots__ = ("lock", "retries", "timeouts", "pool_rebuilds",
-                 "quarantined", "lease_expiries")
+    __slots__ = ("lock", "counts")
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
-        self.retries = 0
-        self.timeouts = 0
-        self.pool_rebuilds = 0
-        self.quarantined = 0
-        self.lease_expiries = 0
+        self.counts = dict.fromkeys(_RESILIENCE_EVENTS, 0)
 
-    def add(self, field: str, count: int = 1) -> None:
+    def add(self, event: str, count: int = 1) -> None:
         with self.lock:
-            setattr(self, field, getattr(self, field) + count)
+            self.counts[event] += count
 
 
 def run_design(design: Design,

@@ -33,8 +33,7 @@ from dataclasses import replace
 from typing import Any, Dict, Optional
 
 from repro.api.result import SimResult
-from repro.exceptions import WorkerCrashError
-from repro.exec.base import SimulationExecutor, cacheable_result
+from repro.exec.base import SimulationExecutor, quarantined_result
 from repro.exec.local import ThreadExecutor
 from repro.exec.queue import WorkQueue
 
@@ -80,6 +79,13 @@ class DistributedExecutor(SimulationExecutor):
         doc["dispatch"] = self.queue.describe()
         return doc
 
+    def pool_widths(self) -> Dict[str, int]:
+        return self._local.pool_widths()
+
+    def close(self, wait: bool = True, *,
+              cancel_pending: bool = False) -> None:
+        self._local.close(wait, cancel_pending=cancel_pending)
+
     def run_pending(self, session, pending, max_workers, worker_ids,
                     counters) -> Dict[Any, SimResult]:
         with self._lock:
@@ -88,9 +94,7 @@ class DistributedExecutor(SimulationExecutor):
             if self._no_worker_deadline is None:
                 self._no_worker_deadline = (time.monotonic()
                                             + self.fallback_after_s)
-        if session._cache_enabled:
-            with session._lock:
-                session._cache_misses += len(pending)
+        session._count_misses(len(pending))
 
         by_id: Dict[str, Any] = {}
         tasks = []
@@ -143,20 +147,14 @@ class DistributedExecutor(SimulationExecutor):
             worker_ids.add(outcome["worker"])
             result = replace(SimResult.from_dict(outcome["result"]),
                              design_hash=key[0])
-            if session._cache_enabled and cacheable_result(result):
-                # Memory tier only: the worker wrote the shared disk
-                # tier before completing its lease.
-                with session._lock:
-                    session._cache.setdefault(key, result)
-                    session._cache_hashes.add(key[0])
+            # Memory tier only: the worker wrote the shared disk tier
+            # before completing its lease.
+            session._store(key, result, disk=False)
             return result
         counters.add("quarantined")
-        return SimResult(
-            design_name=design.name, options=resolved,
-            design_hash=key[0],
-            error=WorkerCrashError(
-                f"design {design.name!r} lost {outcome['strikes']} "
-                f"lease(s) to dead workers and is quarantined"))
+        return quarantined_result(
+            design, resolved, key[0],
+            f"lost {outcome['strikes']} lease(s) to dead workers")
 
     def _should_fall_back(self) -> bool:
         """Whether still-pending tasks should run locally instead.

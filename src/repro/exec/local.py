@@ -1,12 +1,13 @@
 """The in-process executor backends: ``inline``, ``thread``, ``process``.
 
 These wrap what :meth:`repro.api.Simulator.run_many` used to hard-code:
-the thread-pool fan-out with whole-task deadlines, and the windowed,
+the thread-pool fan-out with per-task deadlines, and the windowed,
 self-healing process-pool runner with crash quarantine.  ``inline`` is
 the degenerate backend — sequential execution in the calling thread
 with the same retry semantics — useful for debugging, deterministic
 profiling, and as the coordinator's degraded mode when no distributed
-worker ever connects.
+worker ever connects.  The thread and process backends each own one
+persistent pool (:class:`PooledExecutor`).
 
 All three produce bit-identical results for the same batch; only the
 parallelism (and therefore the wall clock and ``workers_used``) differs.
@@ -17,8 +18,10 @@ from __future__ import annotations
 import os
 import threading
 import time
+from abc import abstractmethod
 from collections import deque
-from concurrent.futures import BrokenExecutor
+from concurrent.futures import (BrokenExecutor, Executor,
+                                ProcessPoolExecutor, ThreadPoolExecutor)
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures import FIRST_COMPLETED
 from concurrent.futures import wait as futures_wait
@@ -27,10 +30,10 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.design import Design
 from repro.api.result import SimOptions, SimResult
-from repro.exceptions import ExecutionTimeoutError, WorkerCrashError
+from repro.exceptions import ConfigurationError
 from repro.exec.base import (UNCACHED, SimulationExecutor,
-                             cacheable_result)
-from repro.resilience.policy import QUARANTINE_THRESHOLD, classify
+                             quarantined_result, timeout_result)
+from repro.resilience.policy import QUARANTINE_THRESHOLD
 
 
 class InlineExecutor(SimulationExecutor):
@@ -45,98 +48,133 @@ class InlineExecutor(SimulationExecutor):
 
     def run_pending(self, session, pending, max_workers, worker_ids,
                     counters) -> Dict[Any, SimResult]:
-        policy = session._retry
         outcomes: Dict[Any, SimResult] = {}
         for key, (design, resolved) in pending.items():
             worker_ids.add(threading.get_ident())
-            attempt = 0
-            while True:
-                result = session._run_resolved(design, resolved,
-                                               probe_disk=False,
-                                               attempt=attempt)
-                if result.ok or result.cached:
-                    break
-                if attempt + 1 >= policy.max_attempts \
-                        or not policy.retryable(classify(result.error)):
-                    break
-                counters.add("retries")
-                time.sleep(policy.backoff_s(attempt, key))
-                attempt += 1
-            outcomes[key] = result
+            outcomes[key] = session._run_attempts(design, resolved, key,
+                                                  counters=counters)
         return outcomes
 
 
-class ThreadExecutor(SimulationExecutor):
-    """Fan the batch across the session's persistent thread pool."""
+class PooledExecutor(SimulationExecutor):
+    """A backend owning one lazily grown, never-shrinking pool.
+
+    The pool is created on the first batch that needs it and reused by
+    every batch after it; a wider batch replaces it with a wider one
+    (the retired pool drains its in-flight work without blocking
+    anyone).  Idle workers are cheap next to re-paying startup on the
+    next wide batch, so pools never shrink.  ``_lock`` guards creation,
+    growth and submission, so a batch never submits into a pool another
+    thread just retired.
+    """
+
+    #: The ``pool_info()`` width this pool reports (``thread``/``process``).
+    pool_kind: str = "?"
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._pool: Optional[Executor] = None
+        self._width = 0
+
+    @abstractmethod
+    def _new_pool(self, width: int) -> Executor:
+        """A fresh pool of ``width`` workers."""
+
+    def _acquire(self, session, width: int) -> Executor:
+        """The pool, grown to ``width`` if narrower (``_lock`` held)."""
+        if session.closed:
+            raise ConfigurationError(
+                "session was terminally closed; create a new Simulator "
+                "to run further batches")
+        if self._pool is not None and self._width >= width:
+            return self._pool
+        if self._pool is not None:
+            self._pool.shutdown(wait=False)
+        self._pool, self._width = self._new_pool(width), width
+        return self._pool
+
+    def _retire(self, pool: Executor) -> None:
+        """Drop a broken (or hung) pool so the next acquire rebuilds."""
+        with self._lock:
+            if self._pool is pool:
+                self._pool, self._width = None, 0
+        pool.shutdown(wait=False)
+
+    def close(self, wait: bool = True, *,
+              cancel_pending: bool = False) -> None:
+        with self._lock:
+            if self._pool is not None:
+                self._pool.shutdown(wait=wait, cancel_futures=cancel_pending)
+            self._pool, self._width = None, 0
+
+    def pool_width_floor(self) -> int:
+        return self._width
+
+    def pool_widths(self) -> Dict[str, int]:
+        return {self.pool_kind: self._width}
+
+
+class ThreadExecutor(PooledExecutor):
+    """Fan the batch across the executor's persistent thread pool."""
 
     name = "thread"
+    pool_kind = "thread"
 
-    def pool_width_floor(self, session) -> int:
-        return session._thread_pool_width or 0
+    def _new_pool(self, width: int) -> Executor:
+        return ThreadPoolExecutor(max_workers=width,
+                                  thread_name_prefix="repro-simulator")
 
     def run_pending(self, session, pending, max_workers, worker_ids,
                     counters) -> Dict[Any, SimResult]:
-        policy = session._retry
+        timeout_s = session._retry.timeout_s
+        #: key -> when its job started running (its deadline's origin).
+        started: Dict[Any, float] = {}
 
         def job(key: Any, design: Design,
                 resolved: SimOptions) -> SimResult:
+            started[key] = time.monotonic()
             worker_ids.add(threading.get_ident())
-            attempt = 0
-            while True:
-                # The batch already disk-probed this key; see
-                # Simulator._run_resolved.
-                result = session._run_resolved(design, resolved,
-                                               probe_disk=False,
-                                               attempt=attempt)
-                if result.ok or result.cached:
-                    return result
-                if attempt + 1 >= policy.max_attempts \
-                        or not policy.retryable(classify(result.error)):
-                    return result
-                counters.add("retries")
-                time.sleep(policy.backoff_s(attempt, key))
-                attempt += 1
+            return session._run_attempts(design, resolved, key,
+                                         counters=counters)
 
-        with session._pools_lock:
-            pool = session._acquire_pool("thread", max_workers)
+        with self._lock:
+            pool = self._acquire(session, max_workers)
             futures = {key: pool.submit(job, key, design, resolved)
                        for key, (design, resolved) in pending.items()}
+        if timeout_s is None:
+            return {key: future.result() for key, future in futures.items()}
 
         # A running thread cannot be interrupted, so in thread mode the
-        # deadline covers the whole task and is enforced at harvest: a
-        # late task is reported as a typed timeout while its thread is
-        # left to finish in the background (the stray result is simply
-        # dropped — never cached, because the store happens here).
+        # deadline covers the whole task from when its job starts, and
+        # is enforced at harvest: a late task is reported as a typed
+        # timeout while its thread finishes in the background (the
+        # job's _run_resolved still caches the late result).  A job not
+        # yet started cannot expire within the next ``timeout_s``.
         outcomes: Dict[Any, SimResult] = {}
-        deadline = (time.monotonic() + policy.timeout_s
-                    if policy.timeout_s is not None else None)
         for key, future in futures.items():
-            try:
-                if deadline is None:
-                    outcomes[key] = future.result()
-                else:
-                    outcomes[key] = future.result(timeout=max(
-                        deadline - time.monotonic(), 0.0))
-            except FuturesTimeoutError:
-                future.cancel()  # only helps tasks still queued
-                counters.add("timeouts")
-                design, resolved = pending[key]
-                design_hash = key[0] if key[0] is not UNCACHED else None
-                outcomes[key] = SimResult(
-                    design_name=design.name, options=resolved,
-                    design_hash=design_hash,
-                    error=ExecutionTimeoutError(
-                        f"task {design.name!r} exceeded the "
-                        f"{policy.timeout_s:g}s deadline"),
-                    elapsed_s=policy.timeout_s)
+            while key not in outcomes:
+                begun = started.get(key)
+                slack = timeout_s if begun is None \
+                    else begun + timeout_s - time.monotonic()
+                try:
+                    outcomes[key] = future.result(timeout=max(slack, 0.0))
+                except FuturesTimeoutError:
+                    if begun is None:
+                        continue  # still queued when the wait began
+                    counters.add("timeouts")
+                    design, resolved = pending[key]
+                    outcomes[key] = timeout_result(
+                        design, resolved,
+                        key[0] if key[0] is not UNCACHED else None,
+                        timeout_s)
         return outcomes
 
 
-class ProcessExecutor(SimulationExecutor):
+class ProcessExecutor(PooledExecutor):
     """Fan cache-missing jobs out as serialized payloads.
 
-    Workers live as long as the session: the pool initializer runs
-    once per worker process (not per batch), and every batch after
+    Workers live as long as the executor's pool: the pool initializer
+    runs once per worker process (not per batch), and every batch after
     the first reuses the already-warm workers.
 
     Submission is *windowed* — at most ``max_workers`` tasks are in
@@ -154,18 +192,18 @@ class ProcessExecutor(SimulationExecutor):
     """
 
     name = "process"
+    pool_kind = "process"
     requires_serializable = True
 
-    def pool_width_floor(self, session) -> int:
-        return session._process_pool_width or 0
+    def _new_pool(self, width: int) -> Executor:
+        return ProcessPoolExecutor(max_workers=width,
+                                   initializer=_init_worker)
 
     def run_pending(self, session, pending, max_workers, worker_ids,
                     counters) -> Dict[Any, SimResult]:
         policy = session._retry
         outcomes: Dict[Any, SimResult] = {}
-        if session._cache_enabled:
-            with session._lock:
-                session._cache_misses += len(pending)
+        session._count_misses(len(pending))
 
         #: Work queue entries are (key, design, options, attempt).
         ready = deque((key, design, resolved, 0)
@@ -184,15 +222,13 @@ class ProcessExecutor(SimulationExecutor):
             key, design, resolved, attempt = entry[:4]
             worker_ids.add(pid)
             result = replace(result, design_hash=key[0])
-            if not result.ok and policy.retryable(classify(result.error)) \
-                    and attempt + 1 < policy.max_attempts:
+            if policy.should_retry(attempt, result.error):
                 counters.add("retries")
                 delayed.append((
                     time.monotonic() + policy.backoff_s(attempt, key),
                     key, design, resolved, attempt + 1))
                 return
-            if session._cache_enabled and cacheable_result(result):
-                session._store(key, result)
+            session._store(key, result)
             outcomes[key] = result
 
         while ready or delayed or in_flight:
@@ -205,8 +241,8 @@ class ProcessExecutor(SimulationExecutor):
             # blast radius is just itself, so innocent neighbours are
             # never implicated twice into quarantine by riding along.
             try:
-                with session._pools_lock:
-                    pool = session._acquire_pool("process", max_workers)
+                with self._lock:
+                    pool = self._acquire(session, max_workers)
                     solo = any(crashes.get(entry[0])
                                for entry in in_flight.values())
                     while ready and not solo \
@@ -236,14 +272,13 @@ class ProcessExecutor(SimulationExecutor):
             if broken is None:
                 # Wake on the first completion — or in time to promote
                 # delayed work / expire the nearest per-attempt deadline.
-                wait_s = 0.05 if delayed else None
+                waits = [0.05] if delayed else []
                 if policy.timeout_s is not None:
-                    slack = max(
+                    waits.append(max(
                         min(entry[4] for entry in in_flight.values())
-                        + policy.timeout_s - time.monotonic(), 0.0)
-                    wait_s = slack if wait_s is None \
-                        else min(wait_s, slack)
-                done, _ = futures_wait(set(in_flight), timeout=wait_s,
+                        + policy.timeout_s - time.monotonic(), 0.0))
+                done, _ = futures_wait(set(in_flight),
+                                       timeout=min(waits, default=None),
                                        return_when=FIRST_COMPLETED)
                 for future in done:
                     entry = in_flight.pop(future)
@@ -257,15 +292,10 @@ class ProcessExecutor(SimulationExecutor):
                         break
                     settle(entry, pid, result)
                     barren_rebuilds = 0
-                if broken is None and done:
-                    continue
-                if broken is None and policy.timeout_s is not None:
-                    expired = self._expire_attempts(
-                        session, in_flight, pool, policy, counters,
-                        ready, outcomes)
-                    if expired:
-                        continue
                 if broken is None:
+                    if not done and policy.timeout_s is not None:
+                        self._expire_attempts(in_flight, pool, policy,
+                                              counters, ready, outcomes)
                     continue
 
             # --- heal a broken pool -----------------------------------
@@ -283,9 +313,7 @@ class ProcessExecutor(SimulationExecutor):
                 settle(entry, pid, result)
                 barren_rebuilds = 0
             counters.add("pool_rebuilds")
-            stale = session._process_pool
-            if stale is not None:
-                session._retire_pool("process", stale)
+            self._retire(pool)
             if suspects:
                 barren_rebuilds = 0
             else:
@@ -301,13 +329,9 @@ class ProcessExecutor(SimulationExecutor):
                 crashes[key] = count
                 if count >= QUARANTINE_THRESHOLD:
                     counters.add("quarantined")
-                    outcomes[key] = SimResult(
-                        design_name=design.name, options=resolved,
-                        design_hash=key[0],
-                        error=WorkerCrashError(
-                            f"design {design.name!r} was in flight for "
-                            f"{count} worker-process deaths and is "
-                            f"quarantined"))
+                    outcomes[key] = quarantined_result(
+                        design, resolved, key[0],
+                        f"was in flight for {count} worker-process deaths")
                 else:
                     # Re-queue on the healed pool.  The bumped attempt
                     # number also tells the fault injector this is a
@@ -316,8 +340,8 @@ class ProcessExecutor(SimulationExecutor):
                     ready.append((key, design, resolved, attempt + 1))
         return outcomes
 
-    def _expire_attempts(self, session, in_flight, pool, policy,
-                         counters, ready, outcomes) -> bool:
+    def _expire_attempts(self, in_flight, pool, policy, counters, ready,
+                         outcomes) -> None:
         """Time out in-flight attempts past the per-attempt deadline.
 
         Process mode cannot interrupt a busy worker either — but it can
@@ -330,37 +354,29 @@ class ProcessExecutor(SimulationExecutor):
         expired = [future for future, entry in in_flight.items()
                    if now - entry[4] >= policy.timeout_s]
         if not expired:
-            return False
+            return
         for future in expired:
             key, design, resolved, attempt = in_flight.pop(future)[:4]
             future.cancel()
             counters.add("timeouts")
-            if policy.retry_timeouts and attempt + 1 < policy.max_attempts:
+            result = timeout_result(design, resolved, key[0],
+                                    policy.timeout_s, "per-attempt deadline")
+            if policy.should_retry(attempt, result.error):
                 counters.add("retries")
                 ready.append((key, design, resolved, attempt + 1))
             else:
-                outcomes[key] = SimResult(
-                    design_name=design.name, options=resolved,
-                    design_hash=key[0],
-                    error=ExecutionTimeoutError(
-                        f"task {design.name!r} exceeded the "
-                        f"{policy.timeout_s:g}s per-attempt deadline"),
-                    elapsed_s=policy.timeout_s)
+                outcomes[key] = result
         counters.add("pool_rebuilds")
-        session._retire_pool("process", pool)
-        return True
+        self._retire(pool)
 
 
 def _promote_due(delayed: List[Tuple], ready: deque) -> None:
     """Move backoff entries whose delay has elapsed onto the ready queue."""
     now = time.monotonic()
-    due = [entry for entry in delayed if entry[0] <= now]
-    if not due:
-        return
+    due = sorted((entry for entry in delayed if entry[0] <= now),
+                 key=lambda entry: entry[0])
     delayed[:] = [entry for entry in delayed if entry[0] > now]
-    due.sort(key=lambda entry: entry[0])
-    for _, key, design, resolved, attempt in due:
-        ready.append((key, design, resolved, attempt))
+    ready.extend(entry[1:] for entry in due)
 
 
 def _init_worker() -> None:

@@ -40,7 +40,6 @@ from typing import Any, Dict, List, Optional
 from repro.api.design import Design
 from repro.api.result import SimOptions, SimResult
 from repro.api.simulator import Simulator
-from repro.resilience.policy import classify
 from repro.serve.client import ServeClient, ServeError
 
 #: Idle poll bounds while the queue has nothing to claim.
@@ -129,22 +128,10 @@ class DispatchWorker:
         *retry* there (deterministic ``kill_rate`` faults spare it);
         local transient retries stack on top.
         """
-        design = Design.from_dict(task["design"])
-        options = SimOptions.from_dict(task["options"])
-        base_attempt = int(task.get("attempt", 0))
-        policy = self.simulator._retry
-        local_attempt = 0
-        while True:
-            result = self.simulator._run_resolved(
-                design, options, probe_disk=True,
-                attempt=base_attempt + local_attempt)
-            if result.ok or result.cached:
-                return result
-            if local_attempt + 1 >= policy.max_attempts \
-                    or not policy.retryable(classify(result.error)):
-                return result
-            time.sleep(policy.backoff_s(local_attempt, task["task_id"]))
-            local_attempt += 1
+        return self.simulator._run_attempts(
+            Design.from_dict(task["design"]),
+            SimOptions.from_dict(task["options"]), task["task_id"],
+            base_attempt=int(task.get("attempt", 0)), probe_disk=True)
 
     # --- the pull loop ----------------------------------------------------
 

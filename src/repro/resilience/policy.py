@@ -95,8 +95,9 @@ class RetryPolicy:
     ``timeout_s``
         Per-task deadline; ``None`` disables deadlines.  In process
         mode the deadline covers one attempt (the worker can be
-        reclaimed); in thread mode it covers the whole task, since a
-        running thread cannot be interrupted.
+        reclaimed); in thread mode it covers the whole task, from when
+        its job starts running, since a running thread cannot be
+        interrupted.
     ``retry_timeouts``
         Whether a deadline expiry is retried like a transient failure.
     ``seed``
@@ -137,6 +138,17 @@ class RetryPolicy:
         # PERMANENT is terminal; POOL_CRASH and LEASE_EXPIRED follow
         # the strike/quarantine path instead of plain retries.
         return False
+
+    def should_retry(self, attempt: int,
+                     failure: Optional[BaseException]) -> bool:
+        """Whether a task whose 0-based ``attempt`` failed is re-run.
+
+        The one retry decision every executor defers to: attempts must
+        remain and the failure must be :meth:`retryable`.  ``None`` (the
+        attempt succeeded) is never retried.
+        """
+        return (failure is not None and attempt + 1 < self.max_attempts
+                and self.retryable(classify(failure)))
 
     def backoff_s(self, attempt: int, key: Any = None) -> float:
         """Delay before re-running ``key`` after failed attempt ``attempt``.

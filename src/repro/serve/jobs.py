@@ -103,7 +103,9 @@ class Job:
         self.created_at = time.time()
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
-        self.lock = threading.Lock()
+        #: Reentrant: the journal re-takes it to snapshot a terminal
+        #: record while the transition still holds it.
+        self.lock = threading.RLock()
         self.stream = StreamBuffer()
 
     def to_dict(self) -> Dict[str, Any]:
@@ -249,10 +251,11 @@ class JobQueue:
             if job.state is JobState.QUEUED:
                 job.state = JobState.CANCELLED
                 job.finished_at = time.time()
+                self._journal_terminal(job)
                 finish_now = True
         if finish_now:
             self._seal_stream(job)
-            self._journal_terminal(job)
+            self._compact_journal()
         return job
 
     def counts(self) -> Dict[str, int]:
@@ -386,8 +389,9 @@ class JobQueue:
             job.result = result
             job.error = error
             job.finished_at = time.time()
+            self._journal_terminal(job)
         self._seal_stream(job)
-        self._journal_terminal(job)
+        self._compact_journal()
 
     def _seal_stream(self, job: Job) -> None:
         """Emit the terminal event and close the job's stream."""
@@ -395,11 +399,19 @@ class JobQueue:
         job.stream.close()
 
     def _journal_terminal(self, job: Job) -> None:
-        """Durably record one terminal transition (if journaling)."""
-        if self.journal is None:
-            return
-        self.journal.record_terminal(job)
-        self.journal.maybe_compact(self._max_jobs_kept)
+        """Durably record one terminal transition (if journaling).
+
+        Called with ``job.lock`` held across the state change, so no
+        status read, ``wait`` or stream sees a terminal job before its
+        record is on disk.
+        """
+        if self.journal is not None:
+            self.journal.record_terminal(job)
+
+    def _compact_journal(self) -> None:
+        """Compact the journal if enough appends have accumulated."""
+        if self.journal is not None:
+            self.journal.maybe_compact(self._max_jobs_kept)
 
     # --- restart recovery ---------------------------------------------------
 
@@ -490,8 +502,9 @@ class JobQueue:
                 job.error = {"type": type(error).__name__,
                              "message": str(error)}
                 job.finished_at = time.time()
+                self._journal_terminal(job)
             self._seal_stream(job)
-            self._journal_terminal(job)
+            self._compact_journal()
             return job
         self._queue.put_nowait(job)
         return job

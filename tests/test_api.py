@@ -366,23 +366,23 @@ class TestSessionPools:
     def test_thread_pool_reused_across_batches(self):
         simulator = Simulator(cache=False)
         simulator.run_many(self._grid())
-        first = simulator._thread_pool
+        first = simulator._executor._pool
         assert first is not None
         simulator.run_many(self._grid())
-        assert simulator._thread_pool is first
+        assert simulator._executor._pool is first
         simulator.close()
 
     def test_pool_grows_for_wider_batches_and_never_shrinks(self):
         simulator = Simulator(cache=False)
         simulator.run_many(self._grid()[:2])
-        narrow = simulator._thread_pool_width
+        narrow = simulator._executor._width
         simulator.run_many([(design, SimOptions(frame_rate=float(rate)))
                             for design in self._grid()
                             for rate in (20, 40, 60)])
-        grown = simulator._thread_pool_width
+        grown = simulator._executor._width
         assert grown >= narrow
         simulator.run_many(self._grid()[:2])
-        assert simulator._thread_pool_width == grown  # no shrink
+        assert simulator._executor._width == grown  # no shrink
         assert simulator.last_batch_stats.max_workers == grown
         simulator.close()
 
@@ -390,19 +390,19 @@ class TestSessionPools:
         simulator = Simulator(cache=False)
         simulator.run_many(self._grid()[:3])
         simulator.close()
-        assert simulator._thread_pool is None
+        assert simulator._executor._pool is None
         simulator.close()  # second close is a no-op
         # The session stays usable: pools are recreated lazily.
         results = simulator.run_many(self._grid()[:3])
         assert all(result.ok for result in results)
-        assert simulator._thread_pool is not None
+        assert simulator._executor._pool is not None
         simulator.close()
 
     def test_context_manager_closes_the_pools(self):
         with Simulator(cache=False) as simulator:
             assert all(r.ok for r in simulator.run_many(self._grid()[:3]))
-            assert simulator._thread_pool is not None
-        assert simulator._thread_pool is None
+            assert simulator._executor._pool is not None
+        assert simulator._executor._pool is None
 
     def test_cached_batches_never_create_a_pool(self):
         simulator = Simulator()
@@ -410,7 +410,7 @@ class TestSessionPools:
         simulator.run_many(designs)
         simulator.close()
         assert all(r.cached for r in simulator.run_many(designs))
-        assert simulator._thread_pool is None  # warm batch: no pool
+        assert simulator._executor._pool is None  # warm batch: no pool
 
     def test_broken_process_pool_is_healed_within_the_batch(self):
         """A dead worker is healed in place: the batch still completes."""
@@ -422,7 +422,7 @@ class TestSessionPools:
         with Simulator(cache=False, executor="process",
                        max_workers=1) as simulator:
             assert all(r.ok for r in simulator.run_many(designs))
-            poisoned = simulator._process_pool
+            poisoned = simulator._executor._pool
             # Kill the worker out from under the executor.
             with pytest.raises(BrokenExecutor):
                 poisoned.submit(os_module._exit, 1).result()
@@ -431,7 +431,7 @@ class TestSessionPools:
             results = simulator.run_many(designs)
             assert all(r.ok for r in results)
             assert simulator.last_batch_stats.pool_rebuilds >= 1
-            assert simulator._process_pool is not poisoned
+            assert simulator._executor._pool is not poisoned
 
     def test_process_pool_reused_across_batches(self):
         with Simulator(cache=False, executor="process",
@@ -439,11 +439,11 @@ class TestSessionPools:
             designs = [build_fig5_design(),
                        build_rhythmic(UseCaseConfig("2D-In", 65))]
             assert all(r.ok for r in simulator.run_many(designs))
-            first = simulator._process_pool
+            first = simulator._executor._pool
             assert first is not None
             assert all(r.ok for r in simulator.run_many(designs))
-            assert simulator._process_pool is first
-        assert simulator._process_pool is None
+            assert simulator._executor._pool is first
+        assert simulator._executor._pool is None
 
 
 class TestBatchLocalHitCounts:
@@ -535,17 +535,17 @@ class TestSessionConcurrency:
         """Overlapping run_many calls must not race pool creation."""
         import threading
 
-        import repro.api.simulator as simulator_module
+        import repro.exec.local as local_module
 
         created = []
-        real_pool = simulator_module.ThreadPoolExecutor
+        real_pool = local_module.ThreadPoolExecutor
 
         class CountingPool(real_pool):
             def __init__(self, *args, **kwargs):
                 created.append(self)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(simulator_module, "ThreadPoolExecutor",
+        monkeypatch.setattr(local_module, "ThreadPoolExecutor",
                             CountingPool)
         simulator = Simulator(cache=False)
         designs = self._grid()
@@ -591,7 +591,7 @@ class TestSessionConcurrency:
         for thread in threads:
             thread.join(timeout=60.0)
         assert not errors
-        assert simulator._thread_pool is None
+        assert simulator._executor._pool is None
 
     def test_terminal_close_blocks_batches_but_not_run(self):
         simulator = Simulator(cache=False)

@@ -298,6 +298,21 @@ class TestDistributedExecutor:
         assert time.monotonic() - started < 20.0
         assert queue.describe()["completed_total"] == 0  # ran locally
 
+    def test_session_close_releases_the_fallback_pool(self):
+        executor = DistributedExecutor(WorkQueue(lease_ttl_s=30.0),
+                                       fallback_after_s=0.0)
+        session = Simulator(executor=executor, cache=False)
+        assert all(result.ok
+                   for result in session.run_many(_sweep_items([37.0])))
+        fallback = executor._local._pool
+        assert fallback is not None
+        assert session.pool_info()["thread_pool_width"] >= 1
+        session.close()
+        assert executor._local._pool is None
+        assert session.pool_info()["thread_pool_width"] == 0
+        with pytest.raises(RuntimeError):
+            fallback.submit(int)  # shut down, not merely dropped
+
     def test_falls_back_when_the_fleet_goes_silent(self):
         queue = WorkQueue(lease_ttl_s=0.3, heartbeat_s=0.1)
         executor = DistributedExecutor(queue)

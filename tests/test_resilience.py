@@ -17,7 +17,8 @@ import pytest
 
 from repro.api import Design, SimOptions, Simulator
 from repro.api.diskcache import DiskResultCache
-from repro.exceptions import ConfigurationError, TransientSimError
+from repro.exceptions import (ConfigurationError, ExecutionTimeoutError,
+                              TransientSimError, WorkerCrashError)
 from repro.explore import choice, explore
 from repro.resilience import (
     FAULTS_ENV,
@@ -96,6 +97,24 @@ class TestRetryPolicy:
         assert not policy.retryable(FailureClass.POOL_CRASH)
         assert policy.replace(retry_timeouts=True).retryable(
             FailureClass.TIMEOUT)
+
+    @pytest.mark.parametrize("failure, retry_timeouts, retried", [
+        (TransientSimError("flaky"), False, True),
+        (ConfigurationError("bad design"), False, False),
+        (ExecutionTimeoutError("slow"), False, False),
+        (ExecutionTimeoutError("slow"), True, True),
+        (WorkerCrashError("killed"), False, False),
+        (None, False, False),
+    ])
+    def test_should_retry_table_at_the_attempt_boundary(
+            self, failure, retry_timeouts, retried):
+        """The one retry predicate every executor defers to."""
+        policy = RetryPolicy(max_attempts=3, retry_timeouts=retry_timeouts)
+        assert policy.should_retry(0, failure) is retried
+        assert policy.should_retry(1, failure) is retried  # last retry
+        assert policy.should_retry(2, failure) is False  # attempts spent
+        assert RetryPolicy(max_attempts=1, retry_timeouts=retry_timeouts
+                           ).should_retry(0, failure) is False
 
     def test_backoff_is_deterministic_capped_and_exponential(self):
         policy = RetryPolicy(base_delay_s=0.1, max_delay_s=1.0,
@@ -241,6 +260,19 @@ class TestDeadlines:
         assert result.error_type == "ExecutionTimeoutError"
         assert result.elapsed_s == pytest.approx(0.2)
         assert simulator.last_batch_stats.timeouts == 1
+
+    def test_thread_deadline_starts_when_each_task_runs(self):
+        """Queued tasks do not burn their deadline waiting for a slot:
+        four 0.2 s tasks on one thread all beat a 0.3 s deadline."""
+        reset_injector(FaultPlan(delay_s=0.2))
+        simulator = Simulator(max_workers=1,
+                              retry=RetryPolicy(max_attempts=1,
+                                                timeout_s=0.3))
+        designs = [_named_fig5(f"queued-{i}") for i in range(4)]
+        results = simulator.run_many(designs)
+        assert [result.error_type for result in results] == [None] * 4
+        assert simulator.last_batch_stats.timeouts == 0
+        simulator.close()
 
     def test_process_deadline_retires_the_hung_pool(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, json.dumps({"delay_s": 30.0}))
@@ -720,6 +752,26 @@ class TestRestartRecovery:
             fresh = client.submit(_run_spec(60.0))
             assert fresh["id"] == "job-000002"
             assert client.wait(fresh["id"])["state"] == "done"
+
+    def test_terminal_record_is_durable_before_job_reads_done(
+            self, tmp_path, monkeypatch):
+        """A client that sees ``done`` never races the journal: a slow
+        terminal append still lands before the state is observable."""
+        record_terminal = JobJournal.record_terminal
+
+        def slow_record_terminal(journal, job):
+            time.sleep(0.3)
+            record_terminal(journal, job)
+
+        monkeypatch.setattr(JobJournal, "record_terminal",
+                            slow_record_terminal)
+        with BackgroundServer(workers=1,
+                              journal_dir=str(tmp_path / "journal")
+                              ) as server:
+            client = server.client()
+            job = client.submit(_run_spec(50.0))
+            assert client.wait(job["id"], poll_s=0.01)["state"] == "done"
+            assert client.stats()["journal"]["appends"] == 2
 
     def test_sigkill_and_restart_recovers_every_job(self, tmp_path):
         """The acceptance scenario: SIGKILL the daemon mid-run, restart
