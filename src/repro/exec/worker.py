@@ -7,7 +7,8 @@ and loops: claim a task batch, execute every task through a local
 cache tier with the coordinator and its sibling workers via
 ``REPRO_CACHE_DIR``), post the results back, repeat.  A background
 thread renews the worker's leases by heartbeating at the interval the
-coordinator announced at registration.
+coordinator announced at registration; both threads share one
+:class:`~repro.serve.client.ServeClient` and its persistent connections.
 
 Failure behavior:
 
@@ -180,6 +181,7 @@ class DispatchWorker:
         finally:
             self._stop.set()
             self._deregister()
+            self.client.close()
         summary = dict(self._stats)
         summary["worker_id"] = self.worker_id
         summary["elapsed_s"] = round(time.monotonic() - started, 3)

@@ -3,10 +3,13 @@
 One :class:`ServeApp` owns one :class:`repro.api.Simulator` session and
 one :class:`repro.serve.jobs.JobQueue`; the HTTP layer here is a thin
 hand-rolled HTTP/1.1 transport over ``asyncio.start_server`` — the
-whole daemon is stdlib-only.  Connections are one-request
-(``Connection: close``), which keeps parsing trivial and plays fine
-with polling clients; streaming endpoints hold their connection open
-and write JSONL/SSE chunks as results land.
+whole daemon is stdlib-only.  Connections are persistent: buffered
+responses carry ``Content-Length`` and streams are sent with
+``Transfer-Encoding: chunked`` (JSONL/SSE chunks written as results
+land), so one connection carries any number of requests.  Only a
+client's ``Connection: close`` (or an HTTP/1.0 request), a request
+whose body is left unread (413, or 411 for a chunked request body) or
+a malformed request ends one.
 
 ``ServeApp.run()`` is the blocking entry point the CLI uses: it
 installs SIGINT/SIGTERM handlers, optionally writes a ready-file with
@@ -41,11 +44,14 @@ DEFAULT_PORT = 8642
 #: Reason phrases for the status codes the daemon emits.
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             404: "Not Found", 405: "Method Not Allowed",
-            409: "Conflict", 413: "Payload Too Large",
+            409: "Conflict", 411: "Length Required",
+            413: "Payload Too Large",
             500: "Internal Server Error", 503: "Service Unavailable"}
 
-#: Patience for reading one request off a connection.
-_REQUEST_TIMEOUT_S = 60.0
+#: Patience for reading one request off a connection; an idle
+#: persistent connection is closed after as long, and shutdown gives
+#: in-flight responses as long to finish.
+REQUEST_TIMEOUT_S = 60.0
 
 
 class ServeApp:
@@ -94,8 +100,13 @@ class ServeApp:
         self.queue = JobQueue(self.simulator, workers=workers,
                               chunk_size=chunk_size, journal=journal)
         self.requests_served = 0
+        self.connections_served = 0
         self._server: Optional[asyncio.base_events.Server] = None
         self._started_monotonic: Optional[float] = None
+        #: Open connections -> whether a request on them is in flight.
+        self._connections: Dict[asyncio.StreamWriter, bool] = {}
+        self._closing = False
+        self._drained: Optional[asyncio.Event] = None
 
     # --- lifecycle --------------------------------------------------------
 
@@ -109,18 +120,39 @@ class ServeApp:
         self._started_monotonic = time.monotonic()
         await self.queue.start()
         self.queue.recover()
+        self._drained = asyncio.Event()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
+            self._accept, self.host, self.port)
         # Ephemeral binds (port 0) resolve here.
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        """Graceful shutdown: no new work, flush jobs, close the session."""
+        """Graceful shutdown: no new work, flush jobs, close the session.
+
+        Idle connections are closed at once; a request in flight gets
+        its response (streams end once the queue flush seals their
+        jobs), then its connection closes.  A response still unwritten
+        after ``REQUEST_TIMEOUT_S`` (say, a client that stopped reading
+        a stream) has its connection aborted.
+        """
         if self._server is not None:
             self._server.close()
+            self._closing = True
+            self.close_idle_connections()
+        await self.queue.close()
+        if self._connections:
+            try:
+                await asyncio.wait_for(self._drained.wait(),
+                                       REQUEST_TIMEOUT_S)
+            except asyncio.TimeoutError:
+                for writer in list(self._connections):
+                    writer.transport.abort()
+                # The abort fails the handlers' pending writes; their
+                # other waits (a spec parse, a sealed stream) end alone.
+                await self._drained.wait()
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        await self.queue.close()
         if self.queue.journal is not None:
             self.queue.journal.close()
         self.simulator.close(terminal=True)
@@ -179,49 +211,85 @@ class ServeApp:
 
     # --- the HTTP transport -----------------------------------------------
 
+    def close_idle_connections(self) -> None:
+        """Close every connection that has no request in flight."""
+        for writer, busy in list(self._connections.items()):
+            if not busy:
+                writer.close()
+
+    def _accept(self, reader: asyncio.StreamReader,
+                writer: asyncio.StreamWriter):
+        """Register a connection before its handler task first runs.
+
+        ``asyncio`` calls this synchronously as the connection is made,
+        so :meth:`stop` sees (and can close) even a connection whose
+        handler has not started yet.
+        """
+        self._connections[writer] = False
+        self.connections_served += 1
+        return self._handle_connection(reader, writer)
+
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         try:
-            try:
-                request = await asyncio.wait_for(
-                    self._read_request(reader), timeout=_REQUEST_TIMEOUT_S)
-            except asyncio.TimeoutError:
-                return
-            except ApiError as error:
+            keep_alive = True
+            while keep_alive and not self._closing:
+                try:
+                    request = await asyncio.wait_for(
+                        self._read_request(reader, writer),
+                        timeout=REQUEST_TIMEOUT_S)
+                except asyncio.TimeoutError:
+                    return
+                except ApiError as error:
+                    # The body (if any) is unread: end the connection.
+                    await self._write_response(
+                        writer, Response(status=error.status,
+                                         payload=error.to_payload()),
+                        keep_alive=False)
+                    return
+                if request is None:
+                    return  # the client closed, or stop() did
+                self.requests_served += 1
+                keep_alive = request.keep_alive
+                try:
+                    response = await dispatch(self, request)
+                except ApiError as error:
+                    response = Response(status=error.status,
+                                        payload=error.to_payload())
+                except Exception as error:  # noqa: BLE001 - last-resort shield
+                    response = Response(
+                        status=500,
+                        payload={"error": {"type": type(error).__name__,
+                                           "message": str(error)}})
                 await self._write_response(
-                    writer, Response(status=error.status,
-                                     payload=error.to_payload()))
-                return
-            if request is None:
-                return
-            self.requests_served += 1
-            try:
-                response = await dispatch(self, request)
-            except ApiError as error:
-                response = Response(status=error.status,
-                                    payload=error.to_payload())
-            except Exception as error:  # noqa: BLE001 - last-resort shield
-                response = Response(
-                    status=500,
-                    payload={"error": {"type": type(error).__name__,
-                                       "message": str(error)}})
-            await self._write_response(writer, response)
+                    writer, response,
+                    keep_alive=keep_alive and not self._closing)
+                self._connections[writer] = False
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-exchange; nothing to salvage
         finally:
+            del self._connections[writer]
+            if self._closing and not self._connections:
+                self._drained.set()
             try:
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
 
-    async def _read_request(self, reader: asyncio.StreamReader
+    async def _read_request(self, reader: asyncio.StreamReader,
+                            writer: asyncio.StreamWriter
                             ) -> Optional[Request]:
+        """The next request on a connection; ``None`` at its end.
+
+        The connection counts as busy from its request line on.
+        """
         request_line = await reader.readline()
         if not request_line.strip():
             return None
+        self._connections[writer] = True
         try:
-            method, target, _version = \
+            method, target, version = \
                 request_line.decode("latin-1").split(None, 2)
         except ValueError:
             raise ApiError(400, "BadRequestLine",
@@ -241,20 +309,32 @@ class ServeApp:
         if length > MAX_BODY_BYTES:
             raise ApiError(413, "PayloadTooLarge",
                            f"request body exceeds {MAX_BODY_BYTES} bytes")
+        if "transfer-encoding" in headers:
+            raise ApiError(411, "LengthRequired",
+                           "request bodies must carry a Content-Length")
         body = await reader.readexactly(length) if length > 0 else b""
         path, _, raw_query = target.partition("?")
         query = {name: values[-1] for name, values
                  in urllib.parse.parse_qs(raw_query).items()}
+        keep_alive = (version.strip().upper() == "HTTP/1.1"
+                      and headers.get("connection", "").lower() != "close")
         return Request(method=method.upper(),
                        path=urllib.parse.unquote(path),
-                       query=query, headers=headers, body=body)
+                       query=query, headers=headers, body=body,
+                       keep_alive=keep_alive)
 
     async def _write_response(self, writer: asyncio.StreamWriter,
-                              response: Response) -> None:
+                              response: Response, keep_alive: bool) -> None:
+        """Write one response; streams are chunked on a kept connection.
+
+        A stream on a connection that closes afterwards (HTTP/1.0) is
+        delimited by the close instead, as HTTP/1.0 has no chunking.
+        """
         reason = _REASONS.get(response.status, "Unknown")
         head = [f"HTTP/1.1 {response.status} {reason}",
-                f"Content-Type: {response.content_type}",
-                "Connection: close"]
+                f"Content-Type: {response.content_type}"]
+        if not keep_alive:
+            head.append("Connection: close")
         if response.stream is None:
             body = (json.dumps(response.payload, sort_keys=True)
                     + "\n").encode("utf-8")
@@ -264,10 +344,16 @@ class ServeApp:
             await writer.drain()
             return
         head.append("Cache-Control: no-store")
+        if keep_alive:
+            head.append("Transfer-Encoding: chunked")
         writer.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n")
         await writer.drain()
         async for chunk in response.stream:
-            writer.write(chunk)
+            writer.write(b"%x\r\n%s\r\n" % (len(chunk), chunk)
+                         if keep_alive else chunk)
+            await writer.drain()
+        if keep_alive:
+            writer.write(b"0\r\n\r\n")
             await writer.drain()
 
 

@@ -10,23 +10,35 @@ distributed workers use instead of hand-rolling requests::
     done = client.wait(job["id"])
     result = client.result(job["id"])["result"]
 
-Every request uses its own connection (the daemon is
-``Connection: close``), so one client is safe to share across threads.
+Requests reuse persistent connections from a small pool of idle ones,
+so one client is safe to share across threads: each request holds its
+own connection while it runs.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import select
 import socket
+import threading
 import time
 import urllib.parse
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.serve.app import REQUEST_TIMEOUT_S
 from repro.serve.jobs import TERMINAL_STATES
 
 #: Job states the client treats as "no further change coming".
 TERMINAL_STATE_NAMES = frozenset(state.value for state in TERMINAL_STATES)
+
+#: Idle connections one client keeps for reuse.
+POOL_SIZE = 4
+
+#: Age past which an idle connection is dropped rather than reused:
+#: well before the daemon's own idle timeout could close it under a
+#: request just sent.
+MAX_IDLE_S = REQUEST_TIMEOUT_S / 2
 
 
 class ServeError(Exception):
@@ -50,8 +62,40 @@ class ServeTimeout(ServeError):
         self.message = str(self)
 
 
+class _Connection(http.client.HTTPConnection):
+    """An HTTP connection with Nagle's algorithm disabled.
+
+    ``http.client`` sends request headers and body in separate writes;
+    with Nagle on, the body write stalls behind the peer's delayed ACK
+    (~40 ms) on every POST — which is most of a dispatch worker's
+    claim/complete cycle on a fast network.
+    """
+
+    def connect(self) -> None:
+        super().connect()
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
+def _reusable(connection: http.client.HTTPConnection) -> bool:
+    """Whether an idle connection is still open on the daemon's side.
+
+    A zero-timeout poll: an idle connection the daemon closed (idle
+    timeout, shutdown) reads as ready, with EOF.  Checking before every
+    reuse means a request is never sent into a closed connection, so
+    a POST is never re-sent.
+    """
+    if connection.sock is None:
+        return False
+    readable, _, _ = select.select([connection.sock], [], [], 0)
+    return not readable
+
+
 class ServeClient:
-    """Programmatic surface over one daemon address."""
+    """Programmatic surface over one daemon address.
+
+    Call :meth:`close` (or use the client as a context manager) to
+    drop its idle connections before the client goes away.
+    """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8642, *,
                  timeout: float = 30.0, stream_reconnects: int = 5,
@@ -63,6 +107,9 @@ class ServeClient:
         self.stream_reconnects = stream_reconnects
         self.stream_backoff_s = stream_backoff_s
         self.stream_backoff_max_s = stream_backoff_max_s
+        #: ``(connection, monotonic check-in time)``, newest last.
+        self._idle: List[Tuple[http.client.HTTPConnection, float]] = []
+        self._idle_lock = threading.Lock()
 
     @classmethod
     def from_url(cls, url: str, *, timeout: float = 30.0) -> "ServeClient":
@@ -74,45 +121,65 @@ class ServeClient:
         port = parsed.port or 8642
         return cls(host=host, port=port, timeout=timeout)
 
+    def close(self) -> None:
+        """Close the idle connections; the client stays usable."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for connection, _ in idle:
+            connection.close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
     # --- plumbing ---------------------------------------------------------
 
-    def _connect(self) -> http.client.HTTPConnection:
-        """A fresh connection with Nagle's algorithm disabled.
+    def _checkout(self) -> http.client.HTTPConnection:
+        """A recent idle pooled connection still open, else a fresh one."""
+        while True:
+            with self._idle_lock:
+                connection, idle_since = (self._idle.pop() if self._idle
+                                          else (None, 0.0))
+            if connection is None:
+                connection = _Connection(self.host, self.port,
+                                         timeout=self.timeout)
+                connection.connect()
+                return connection
+            if time.monotonic() - idle_since < MAX_IDLE_S \
+                    and _reusable(connection):
+                return connection
+            connection.close()
 
-        ``http.client`` sends request headers and body in separate
-        writes; with Nagle on, the body write stalls behind the peer's
-        delayed ACK (~40 ms) on every POST — which is most of a
-        dispatch worker's claim/complete cycle on a fast network.
-        """
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout)
-        connection.connect()
-        connection.sock.setsockopt(socket.IPPROTO_TCP,
-                                   socket.TCP_NODELAY, 1)
-        return connection
+    def _checkin(self, connection: http.client.HTTPConnection) -> None:
+        """Pool a connection whose last response was read to the end."""
+        with self._idle_lock:
+            if connection.sock is not None \
+                    and len(self._idle) < POOL_SIZE:
+                self._idle.append((connection, time.monotonic()))
+                return
+        connection.close()
 
     def _request(self, method: str, path: str,
                  payload: Optional[Any] = None) -> Any:
-        connection = self._connect()
+        body = None
+        headers = {}
+        if payload is not None:
+            body = json.dumps(payload).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        connection = self._checkout()
         try:
-            body = None
-            headers = {}
-            if payload is not None:
-                body = json.dumps(payload).encode("utf-8")
-                headers["Content-Type"] = "application/json"
             connection.request(method, path, body=body, headers=headers)
             response = connection.getresponse()
             raw = response.read()
-            document = json.loads(raw) if raw else None
-            if response.status >= 400:
-                error = (document or {}).get("error", {})
-                raise ServeError(response.status,
-                                 error.get("type", "HTTPError"),
-                                 error.get("message", raw.decode(
-                                     "utf-8", "replace")))
-            return document
-        finally:
+        except BaseException:
             connection.close()
+            raise
+        self._checkin(connection)
+        if response.status >= 400:
+            raise _error(response.status, raw)
+        return json.loads(raw) if raw else None
 
     # --- service endpoints ------------------------------------------------
 
@@ -215,8 +282,13 @@ class ServeClient:
 
     def _stream_once(self, job_id: str,
                      cursor: int = 0) -> Iterator[Dict[str, Any]]:
-        """One streaming connection, resumed from ``cursor``."""
-        connection = self._connect()
+        """One streaming request, resumed from ``cursor``.
+
+        The connection returns to the pool only once the stream was
+        read to its end; an abandoned or failed stream closes it.
+        """
+        connection = self._checkout()
+        finished = False
         try:
             connection.request(
                 "GET",
@@ -224,18 +296,26 @@ class ServeClient:
             response = connection.getresponse()
             if response.status >= 400:
                 raw = response.read()
-                error = {}
-                try:
-                    error = (json.loads(raw) or {}).get("error", {})
-                except json.JSONDecodeError:
-                    pass
-                raise ServeError(response.status,
-                                 error.get("type", "HTTPError"),
-                                 error.get("message", raw.decode(
-                                     "utf-8", "replace")))
+                finished = True
+                raise _error(response.status, raw)
             for line in response:
                 line = line.strip()
                 if line:
                     yield json.loads(line)
+            finished = True
         finally:
-            connection.close()
+            if finished:
+                self._checkin(connection)
+            else:
+                connection.close()
+
+
+def _error(status: int, raw: bytes) -> ServeError:
+    """The typed error of a daemon error response body."""
+    error = {}
+    try:
+        error = (json.loads(raw) or {}).get("error", {})
+    except (json.JSONDecodeError, AttributeError):
+        pass
+    return ServeError(status, error.get("type", "HTTPError"),
+                      error.get("message", raw.decode("utf-8", "replace")))

@@ -54,9 +54,6 @@ MAX_BODY_BYTES = 32 * 1024 * 1024
 STATS_SCHEMA = "repro.serve-stats/1"
 JOB_SCHEMA = "repro.serve-job/1"
 
-#: Seconds between polls of a job's stream buffer while live-tailing.
-STREAM_POLL_S = 0.05
-
 
 class ApiError(Exception):
     """A typed HTTP error the transport renders as a JSON body."""
@@ -80,6 +77,8 @@ class Request:
     query: Dict[str, str] = field(default_factory=dict)
     headers: Dict[str, str] = field(default_factory=dict)
     body: bytes = b""
+    #: Whether the connection stays open after the response.
+    keep_alive: bool = False
 
 
 @dataclass
@@ -191,6 +190,7 @@ def handle_stats(app) -> Dict[str, Any]:
         "schema": STATS_SCHEMA,
         "uptime_s": app.uptime_s,
         "requests_served": app.requests_served,
+        "connections_served": app.connections_served,
         "workers": app.queue.workers,
         "chunk_size": app.queue.chunk_size,
         "queue_depth": app.queue.depth,
@@ -442,14 +442,11 @@ async def _stream_events(job: Job, fmt: str,
     """Replay the job's buffer from ``start``, then tail it live.
 
     Subscribing after completion replays everything and returns at
-    once; a live subscriber polls the buffer — cheap reads under the
-    job lock — until the terminal ``done`` event seals it.  A cursor
-    below the buffer's retained window gets one synthetic
-    ``truncated`` event describing the gap (see
-    :class:`~repro.serve.progress.StreamBuffer`).
+    once; a live subscriber parks until the worker's next append or
+    the terminal ``done`` event wakes it.  A cursor below the buffer's
+    retained window gets one synthetic ``truncated`` event describing
+    the gap (see :class:`~repro.serve.progress.StreamBuffer`).
     """
-    import asyncio
-
     cursor = start
     while True:
         events, cursor, closed = job.stream.read_from(cursor)
@@ -458,4 +455,4 @@ async def _stream_events(job: Job, fmt: str,
         if closed and not events:
             return
         if not events:
-            await asyncio.sleep(STREAM_POLL_S)
+            await job.stream.wait_beyond(cursor)

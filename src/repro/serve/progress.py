@@ -11,6 +11,7 @@ a live one tails new events as the worker appends them.
 
 from __future__ import annotations
 
+import asyncio
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -50,9 +51,10 @@ class StreamBuffer:
     """Bounded, thread-safe event log with absolute cursor reads.
 
     Writers (worker threads) :meth:`append` event dicts and eventually
-    :meth:`close` the buffer; readers (streaming handlers) poll
-    :meth:`read_from` with their last cursor and stop once the buffer
-    is closed and drained.
+    :meth:`close` the buffer; readers (streaming handlers) call
+    :meth:`read_from` with their last cursor, :meth:`wait_beyond` it
+    for the writer's wake-up when nothing is new, and stop once the
+    buffer is closed and drained.
 
     Retention is a ring: the newest ``maxlen`` events are kept and the
     oldest beyond that are dropped, so a million-point job cannot pin
@@ -75,6 +77,8 @@ class StreamBuffer:
         self._dropped = 0
         self._lock = threading.Lock()
         self._closed = False
+        #: Futures of readers parked in :meth:`wait_beyond`.
+        self._waiters: List["asyncio.Future[None]"] = []
 
     def append(self, event: Dict[str, Any]) -> None:
         with self._lock:
@@ -84,11 +88,29 @@ class StreamBuffer:
             if len(self._events) > self.maxlen:
                 self._events.popleft()
                 self._dropped += 1
+            waiters, self._waiters = self._waiters, []
+        _wake(waiters)
 
     def close(self) -> None:
         """No further events will arrive (idempotent)."""
         with self._lock:
             self._closed = True
+            waiters, self._waiters = self._waiters, []
+        _wake(waiters)
+
+    async def wait_beyond(self, cursor: int) -> None:
+        """Return once an event past ``cursor`` exists or the buffer closes.
+
+        The check and the registration happen under the buffer lock, so
+        an append racing the call either is seen here or wakes the
+        reader: no event is missed and no reader polls.
+        """
+        with self._lock:
+            if self._closed or self._dropped + len(self._events) > cursor:
+                return
+            waiter = asyncio.get_running_loop().create_future()
+            self._waiters.append(waiter)
+        await waiter
 
     def read_from(self, cursor: int
                   ) -> Tuple[List[Dict[str, Any]], int, bool]:
@@ -124,3 +146,17 @@ class StreamBuffer:
         """Total events ever appended (retained plus dropped)."""
         with self._lock:
             return self._dropped + len(self._events)
+
+
+def _wake(waiters: List["asyncio.Future[None]"]) -> None:
+    """Resolve parked readers' futures on their own loops (any thread)."""
+    for waiter in waiters:
+        try:
+            waiter.get_loop().call_soon_threadsafe(_resolve, waiter)
+        except RuntimeError:
+            pass  # the reader's loop is closed: nobody is waiting
+
+
+def _resolve(waiter: "asyncio.Future[None]") -> None:
+    if not waiter.done():  # a cancelled reader leaves a done future
+        waiter.set_result(None)

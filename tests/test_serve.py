@@ -1,9 +1,12 @@
 """Tests for the ``repro serve`` daemon: queue, HTTP API, client, shutdown."""
 
+import asyncio
 import http.client
 import json
 import os
+import select
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -24,6 +27,8 @@ from repro.serve import (
     ServeTimeout,
     StreamBuffer,
 )
+from repro.serve import app as app_module, handlers as handlers_module
+from repro.serve.client import MAX_IDLE_S, POOL_SIZE
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -83,7 +88,8 @@ def server():
 
 @pytest.fixture
 def client(server):
-    return server.client()
+    with server.client() as pooled:
+        yield pooled
 
 
 class TestStreamBuffer:
@@ -109,6 +115,26 @@ class TestStreamBuffer:
         buffer.close()  # idempotent
         with pytest.raises(RuntimeError):
             buffer.append({"event": "late"})
+
+    def test_append_from_a_thread_wakes_a_parked_reader(self):
+        buffer = StreamBuffer()
+        buffer.append({"event": "a"})
+
+        async def tail():
+            await buffer.wait_beyond(0)  # an event is past 0: no wait
+            parked = asyncio.ensure_future(buffer.wait_beyond(1))
+            await asyncio.sleep(0)
+            assert not parked.done()
+            threading.Thread(target=buffer.append,
+                             args=({"event": "b"},)).start()
+            await asyncio.wait_for(parked, timeout=10.0)
+            parked = asyncio.ensure_future(buffer.wait_beyond(2))
+            await asyncio.sleep(0)
+            threading.Thread(target=buffer.close).start()
+            await asyncio.wait_for(parked, timeout=10.0)
+            await buffer.wait_beyond(2)  # closed: returns at once
+
+        asyncio.run(tail())
 
 
 class TestQueueGuards:
@@ -144,6 +170,7 @@ class TestHealthAndStats:
         assert stats["pools"]["executor"] == "thread"
         assert stats["pools"]["terminal"] is False
         assert stats["requests_served"] >= 1
+        assert 1 <= stats["connections_served"] <= stats["requests_served"]
 
 
 class TestRunJobs:
@@ -544,3 +571,290 @@ class TestWaitTimeout:
                 client.wait(job["id"], timeout=0.2, poll_s=0.05)
             _GATE.set()
             assert client.wait(job["id"], timeout=60.0)["state"] == "done"
+
+
+# --- the persistent-connection transport -----------------------------------
+
+def _raw_exchange(address, request):
+    """Send raw request bytes; read until the daemon closes the socket.
+
+    A connection the daemon keeps open makes the read time out.
+    """
+    with socket.create_connection(address, timeout=10.0) as sock:
+        sock.sendall(request)
+        received = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return received
+            received += chunk
+
+
+def _connections(server):
+    return server.app.connections_served
+
+
+class TestKeepAlive:
+    def test_requests_share_one_raw_connection(self, server):
+        before = _connections(server)
+        connection = http.client.HTTPConnection(*server.address,
+                                                timeout=30.0)
+        try:
+            for _ in range(3):
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["status"] == "ok"
+            connection.request("POST", "/jobs",
+                               body=json.dumps(_run_spec(131.0)))
+            response = connection.getresponse()
+            assert response.status == 202
+            job_id = json.loads(response.read())["id"]
+            connection.request("GET", f"/jobs/{job_id}/stream")
+            response = connection.getresponse()
+            assert response.getheader("Transfer-Encoding") == "chunked"
+            events = [json.loads(line) for line
+                      in response.read().splitlines()]
+            assert events[-1]["event"] == "done"
+            connection.request("GET", f"/jobs/{job_id}/result")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["result"] is not None
+        finally:
+            connection.close()
+        assert _connections(server) - before == 1
+
+    @pytest.mark.parametrize("request_head", [
+        b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+        b"GET /healthz HTTP/1.0\r\n\r\n",
+    ], ids=["connection-close", "http-1.0"])
+    def test_close_is_honoured(self, server, request_head):
+        reply = _raw_exchange(server.address, request_head)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200")
+        assert b"Connection: close" in head
+        assert json.loads(body)["status"] == "ok"
+
+    @pytest.mark.parametrize("body_head, status, error_type", [
+        (b"Content-Length: %d" % (64 * 1024 * 1024), b"413",
+         "PayloadTooLarge"),
+        (b"Transfer-Encoding: chunked", b"411", "LengthRequired"),
+    ], ids=["oversized", "chunked"])
+    def test_unread_body_closes_the_connection(self, server, body_head,
+                                               status, error_type):
+        reply = _raw_exchange(
+            server.address,
+            b"POST /jobs HTTP/1.1\r\nHost: x\r\n%s\r\n\r\n" % body_head)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 " + status)
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"]["type"] == error_type
+
+    def test_client_runs_a_job_over_one_connection(self, server):
+        before = _connections(server)
+        with server.client() as client:
+            job = client.submit(_run_spec(137.0))
+            assert client.wait(job["id"], timeout=60.0)["state"] == "done"
+            assert list(client.stream(job["id"]))[-1]["event"] == "done"
+            assert client.result(job["id"])["result"] is not None
+        assert _connections(server) - before == 1
+
+    def test_reconnects_once_the_daemon_closed_the_pooled_one(self, server):
+        with server.client() as client:
+            client.healthz()
+            [(pooled, _)] = client._idle
+            server._loop.call_soon_threadsafe(
+                server.app.close_idle_connections)
+            readable, _, _ = select.select([pooled.sock], [], [], 10.0)
+            assert readable  # the daemon's close arrived
+            jobs_before = len(server.app.queue.jobs())
+            job = client.submit(_run_spec(139.0))
+            assert len(server.app.queue.jobs()) == jobs_before + 1
+            assert client.wait(job["id"], timeout=60.0)["state"] == "done"
+            assert client._idle and client._idle[0][0] is not pooled
+
+    def test_a_long_idle_connection_is_not_reused(self, server):
+        with server.client() as client:
+            client.healthz()
+            [(pooled, _)] = client._idle
+            client._idle[0] = (pooled, time.monotonic() - MAX_IDLE_S)
+            before = _connections(server)
+            assert client.healthz()["status"] == "ok"
+            assert _connections(server) - before == 1
+            assert pooled.sock is None  # closed, not reused
+
+    def test_threads_share_one_client(self, server):
+        """More threads than cores on one pool, switching often: no
+        connection is handed to two threads, and none leaks."""
+        errors = []
+        before = _connections(server)
+        client = server.client()
+
+        def drive(offset):
+            try:
+                for step in range(5):
+                    job = client.submit(_run_spec(150.0 + offset + step))
+                    assert client.wait(job["id"], timeout=60.0)[
+                        "state"] == "done"
+                    assert client.healthz()["status"] == "ok"
+            except BaseException as error:  # surfaced below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=drive, args=(10 * index,))
+                       for index in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert 1 <= len(client._idle) <= POOL_SIZE
+        # Each thread holds one connection at a time and returns it.
+        assert _connections(server) - before <= len(threads)
+        client.close()
+
+    def test_abandoned_stream_closes_its_connection(self, server):
+        with server.client() as client:
+            job = client.submit(_run_spec(141.0))
+            client.wait(job["id"], timeout=60.0)
+            events = client.stream(job["id"])
+            assert next(events)["event"] == "result"
+            assert client._idle == []  # the stream holds the connection
+            events.close()
+            assert client._idle == []  # closed, not pooled
+            assert list(client.stream(job["id"]))[-1]["event"] == "done"
+            assert len(client._idle) == 1  # a finished stream is pooled
+
+
+def _count_parks(background, job_id):
+    """Record every time the job's stream handler parks; returns
+    ``(parked event, list of parked cursors)``."""
+    buffer = background.app.queue.get(job_id).stream
+    parked = threading.Event()
+    waits = []
+    wait_beyond = buffer.wait_beyond
+
+    async def counted_wait(cursor):
+        waits.append(cursor)
+        parked.set()
+        await wait_beyond(cursor)
+
+    buffer.wait_beyond = counted_wait
+    return parked, waits
+
+
+class TestLiveStream:
+    def test_live_stream_is_woken_by_the_job(self, gated_usecase):
+        with BackgroundServer(workers=1, chunk_size=1) as background, \
+                background.client() as client:
+            job = client.submit(_explore_spec([30.0, 45.0],
+                                              usecase=gated_usecase))
+            assert _GATE_ENTERED.wait(timeout=30.0)
+            parked, waits = _count_parks(background, job["id"])
+            events = []
+            done = threading.Event()
+
+            def tail():
+                for event in client.stream(job["id"]):
+                    events.append(event)
+                done.set()
+
+            threading.Thread(target=tail, daemon=True).start()
+            assert parked.wait(timeout=30.0)  # a live tail, not a replay
+            assert not done.is_set()
+            _GATE.set()
+            assert done.wait(timeout=30.0)
+            assert [event["event"] for event in events] \
+                == ["point", "point", "done"]
+            # Every park ends in an append or the close: no polling.
+            assert len(waits) <= len(events) + 1
+
+
+class TestShutdownWithIdleConnections:
+    def test_stop_closes_an_idle_pooled_connection(self, caplog):
+        background = BackgroundServer(workers=1)
+        background.__enter__()
+        with background.client() as client:
+            assert client.healthz()["status"] == "ok"
+            assert len(client._idle) == 1
+            began = time.monotonic()
+            background.__exit__(None, None, None)
+            assert time.monotonic() - began < 1.0
+            assert not background._thread.is_alive()
+        # No handler was left to be cancelled at loop close.
+        assert not [record for record in caplog.records
+                    if record.name == "asyncio"]
+
+    def test_stop_lets_an_in_flight_stream_finish(self, gated_usecase):
+        background = BackgroundServer(workers=1, chunk_size=1)
+        background.__enter__()
+        events = []
+        client = background.client()
+        try:
+            job = client.submit(_explore_spec([30.0, 45.0],
+                                              usecase=gated_usecase))
+            assert _GATE_ENTERED.wait(timeout=30.0)
+            parked, _ = _count_parks(background, job["id"])
+            tail = threading.Thread(
+                target=lambda: events.extend(client.stream(job["id"])))
+            tail.start()
+            assert parked.wait(timeout=30.0)  # the stream is in flight
+            shutdown = threading.Thread(
+                target=background.__exit__, args=(None, None, None))
+            shutdown.start()
+            queued = background.app.queue.get(job["id"])
+            deadline = time.monotonic() + 30.0
+            while not queued.cancel_requested:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            _GATE.set()
+            shutdown.join(timeout=60.0)
+            tail.join(timeout=60.0)
+            assert not shutdown.is_alive() and not tail.is_alive()
+        finally:
+            _GATE.set()
+            client.close()
+        assert events[-1]["event"] == "done"
+        assert events[-1]["job"]["state"] == "cancelled"
+
+    def test_stop_aborts_a_stream_its_client_stopped_reading(
+            self, monkeypatch, caplog):
+        """A response that cannot finish holds shutdown back only for
+        ``REQUEST_TIMEOUT_S``; then its connection is aborted."""
+        async def endless(job, fmt, start=0):
+            while True:
+                yield b"x" * 65536
+
+        monkeypatch.setattr(handlers_module, "_stream_events", endless)
+        monkeypatch.setattr(app_module, "REQUEST_TIMEOUT_S", 0.5)
+        background = BackgroundServer(workers=1)
+        background.__enter__()
+        with background.client() as client:
+            job = client.submit(_run_spec(143.0))
+        sock = socket.create_connection(background.address, timeout=10.0)
+        try:
+            sock.sendall(f"GET /jobs/{job['id']}/stream HTTP/1.1\r\n"
+                         f"Host: x\r\n\r\n".encode("latin-1"))
+            # Never read: wait until the daemon's writes back up.
+            deadline = time.monotonic() + 30.0
+            while not any(writer.transport.get_write_buffer_size()
+                          for writer in list(background.app._connections)):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            began = time.monotonic()
+            shutdown = threading.Thread(
+                target=background.__exit__, args=(None, None, None))
+            shutdown.start()
+            shutdown.join(timeout=30.0)
+            assert not shutdown.is_alive()
+            assert time.monotonic() - began < 5.0
+            assert not background._thread.is_alive()
+        finally:
+            sock.close()
+        assert not [record for record in caplog.records
+                    if record.name == "asyncio"]
