@@ -12,9 +12,10 @@ typed failure, so batch consumers (sweeps, the CLI) no longer hand-roll
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.energy.report import EnergyReport
+from repro.columns import element
+from repro.energy.report import EnergyEntry, EnergyReport
 from repro.exceptions import CamJError, ConfigurationError, \
     SerializationError
 
@@ -186,6 +187,51 @@ class SimResult:
                    design_hash=payload.get("design_hash"),
                    report=report, error=error,
                    elapsed_s=payload.get("elapsed_s", 0.0))
+
+
+@dataclass(eq=False)
+class ResultBlock:
+    """Feasible results of one design at many options, as columns.
+
+    What the vectorized explore path holds once a group is evaluated:
+    one :class:`EnergyReport` whose energies, ``frame_time`` and
+    ``analog_stage_delay`` are columns with one element per row, and
+    the options of each row.  The session caches whole blocks instead
+    of one result per point; :meth:`result` materializes one row's
+    bit-identical :class:`SimResult` when a single key is asked for.
+    """
+
+    design_name: str
+    design_hash: Optional[str]
+    #: Row -> the options that row was evaluated under.
+    options: List[SimOptions]
+    report: EnergyReport
+    #: Options -> row (the inverse of ``options``).
+    rows: Dict[SimOptions, int] = field(init=False, repr=False)
+    #: Rows already written to a disk tier (the session keeps this).
+    persisted: set = field(default_factory=set, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.rows = {options: row for row, options in enumerate(self.options)}
+
+    def __len__(self) -> int:
+        return len(self.options)
+
+    def result(self, row: int) -> SimResult:
+        """The full result of one row, as the scalar engine builds it."""
+        options = self.options[row]
+        column = self.report
+        report = EnergyReport(
+            system_name=column.system_name, frame_rate=options.frame_rate,
+            frame_time=element(column.frame_time, row),
+            digital_latency=column.digital_latency,
+            analog_stage_delay=element(column.analog_stage_delay, row))
+        report.extend(EnergyEntry(
+            name=entry.name, category=entry.category, layer=entry.layer,
+            energy=element(entry.energy, row), stage=entry.stage)
+            for entry in column.entries)
+        return SimResult(design_name=self.design_name, options=options,
+                         design_hash=self.design_hash, report=report)
 
 
 def _rebuild_error(raw: Any) -> CamJError:

@@ -5,9 +5,12 @@ and turns :class:`~repro.api.design.Design` values into structured
 :class:`~repro.api.result.SimResult` outcomes.  :meth:`Simulator.run_many`
 fans a batch out across a persistent worker pool and deduplicates
 identical ``(design, options)`` jobs through a two-tier result cache:
-an in-memory dict always, plus an opt-in disk tier
+an in-memory tier always, plus an opt-in disk tier
 (``Simulator(cache_dir=...)`` or the ``REPRO_CACHE_DIR`` environment
 variable) that keeps results warm across processes and CLI invocations.
+The memory tier holds one :class:`SimResult` per key, and the column
+blocks (:class:`~repro.api.result.ResultBlock`) the vectorized explore
+path publishes, one per evaluated group.
 
 The execution backend owns its worker pool: created lazily on the
 first batch that needs one and reused for every batch after it —
@@ -23,15 +26,15 @@ import os
 import threading
 import time
 import warnings
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple, Union
 
 import repro.exec  # noqa: F401  (registers the built-in executor backends)
 from repro.api.design import Design
 from repro.api.diskcache import (CACHE_DIR_ENV, DiskResultCache,
                                  default_cache_dir)
-from repro.api.result import SimOptions, SimResult
+from repro.api.result import ResultBlock, SimOptions, SimResult
 from repro.exceptions import (CamJError, ConfigurationError,
                               SerializationError)
 from repro.exec.base import UNCACHED, SimulationExecutor, cacheable_result
@@ -58,10 +61,10 @@ _UNSET = object()
 #: entries — which is what makes option sweeps incremental.
 _PASS_MEMO_LIMIT = 256
 
-#: Upper bound on pending lazy results offered by the vectorized explore
-#: path (see :meth:`Simulator.offer_result`); oldest offers are dropped
-#: first — they can always be re-simulated.
-_VECTOR_BACKFILL_LIMIT = 65536
+#: Upper bound on the rows of all column blocks the vectorized explore
+#: path publishes (see :meth:`Simulator.offer_results`); the oldest
+#: blocks are dropped whole first — their rows can always be re-simulated.
+_BLOCK_ROW_LIMIT = 65536
 
 
 @dataclass(frozen=True)
@@ -106,6 +109,9 @@ class CacheInfo:
     ``hits``/``misses``/``size`` describe the session (memory tier plus
     any disk-tier hits it absorbed); the ``disk_*`` fields describe the
     persistent tier and stay zero when no ``cache_dir`` is configured.
+    ``size`` counts the memory tier's single results plus every row of
+    its column blocks: a vector-explored point counts once, from the
+    group that evaluated it, however often it is served.
     ``disk_errors``/``disk_disabled`` report graceful degradation: I/O
     incidents the tier absorbed, and whether they downgraded the
     session to memory-only.
@@ -190,14 +196,13 @@ class Simulator:
         self._cache: Dict[Tuple[str, SimOptions], SimResult] = {}
         self._cache_hits = 0
         self._cache_misses = 0
-        #: Lazy results offered by the vectorized explore path: thunks
-        #: that materialize a full SimResult only if the key is ever
-        #: probed again (see :meth:`offer_result`).
-        self._vector_backfill: "OrderedDict[Tuple[str, SimOptions], Any]" \
-            = OrderedDict()
-        #: How many backfill entries each design hash owns — lets bulk
-        #: probes for a design with no offers skip the tier entirely.
-        self._backfill_hashes: Dict[str, int] = {}
+        #: Column blocks of the vectorized explore path, oldest first,
+        #: and the same blocks by design hash (see :meth:`offer_results`).
+        #: A by-hash list is replaced, never mutated, so probes read it
+        #: without the lock.
+        self._blocks: Deque[ResultBlock] = deque()
+        self._blocks_by_hash: Dict[str, List[ResultBlock]] = {}
+        self._block_rows = 0
         #: Design hashes with at least one memory-tier entry, grow-only
         #: (conservative: a stale member only costs a real probe).
         self._cache_hashes: set = set()
@@ -447,37 +452,51 @@ class Simulator:
                      probe_disk: bool = True) -> Optional[SimResult]:
         """Memory tier first, then (optionally) disk; ``None`` on miss.
 
-        The memory probe is a plain (GIL-atomic) dict read — the
-        session lock guards only counter updates, so concurrent warm
-        ``run()`` calls never serialize on each other's probes.  A disk
-        hit is promoted into the memory tier.
+        The memory probe is plain (GIL-atomic) dict reads — the session
+        lock guards only counter updates, so concurrent warm ``run()``
+        calls never serialize on each other's probes.  A block row is
+        materialized into its own :class:`SimResult`; a disk hit is
+        promoted into the memory tier.
         """
         hit = self._cache.get(key)
+        if hit is None:
+            found = self._block_row(key)
+            if found is not None:
+                hit = found[0].result(found[1])
+                self._persist_row(*found, hit)
+        if hit is None and probe_disk and self._disk_cache is not None:
+            hit = self._disk_cache.get(key[0], key[1])
+            if hit is not None:
+                self._store(key, hit, disk=False)
         if hit is not None:
             with self._lock:
                 self._cache_hits += 1
-            return hit
-        if self._vector_backfill:
-            with self._lock:
-                thunk = self._vector_backfill.pop(key, None)
-                if thunk is not None:
-                    self._drop_backfill_hash(key[0])
-            if thunk is not None:
-                result = thunk()
-                self._store(key, result)
-                with self._lock:
-                    self._cache_hits += 1
-                return result
-        if probe_disk and self._disk_cache is not None:
-            persisted = self._disk_cache.get(key[0], key[1])
-            if persisted is not None:
-                self._store(key, persisted, disk=False)
-                with self._lock:
-                    self._cache_hits += 1
-                return persisted
-        if count_miss:
+        elif count_miss:
             self._count_misses(1)
+        return hit
+
+    def _block_row(self, key: Tuple[str, SimOptions]
+                   ) -> Optional[Tuple[ResultBlock, int]]:
+        """The newest column block holding ``key``, and its row."""
+        for block in reversed(self._blocks_by_hash.get(key[0], ())):
+            row = block.rows.get(key[1])
+            if row is not None:
+                return block, row
         return None
+
+    def _persist_row(self, block: ResultBlock, row: int,
+                     result: Optional[SimResult] = None) -> None:
+        """Write a block row to the disk tier the first time it is served.
+
+        A row reaches disk exactly when a single stored result would: on
+        the first probe that serves it.
+        """
+        if self._disk_cache is None or row in block.persisted:
+            return
+        block.persisted.add(row)
+        if result is None:
+            result = block.result(row)
+        self._disk_cache.put(block.design_hash, block.options[row], result)
 
     def _count_misses(self, count: int) -> None:
         """Count ``count`` cache misses (no-op when caching is off)."""
@@ -505,8 +524,8 @@ class Simulator:
     def design_probe_needed(self, design_hash: str, count: int) -> bool:
         """Whether probing ``count`` keys of one design could hit at all.
 
-        ``False`` means the whole group cold-misses: no memory-tier or
-        backfill entry carries this design hash and there is no disk
+        ``False`` means the whole group cold-misses: no single result
+        or column block carries this design hash and there is no disk
         tier.  The miss counters are bulk-updated here, so the caller
         may skip per-key probing with identical observable behavior.
         (``False`` with no counter change when caching is disabled,
@@ -516,152 +535,98 @@ class Simulator:
             return False
         if self._disk_cache is not None \
                 or design_hash in self._cache_hashes \
-                or design_hash in self._backfill_hashes:
+                or design_hash in self._blocks_by_hash:
             return True
         self._count_misses(count)
         return False
 
-    def probe_results(self, keys) -> List[Optional[SimResult]]:
+    def probe_results(self, keys) -> List[Any]:
         """Probe the result cache for a whole group of job keys.
 
         Gives every point the cache behavior a cold :meth:`run` would
-        have: hits come back ``cached=True`` and promoted, absent and
-        ``None`` keys (unserializable designs) come back ``None``, and
-        the hit/miss counters tick; with caching off, all ``None`` and
-        no counter change.  Each tier is consulted in one sweep — at
-        most one lock round-trip for the backfill tier and one for the
-        counters, instead of one per point.
+        have, with the hit/miss counters ticking once for the group:
+        absent and ``None`` keys (unserializable designs) come back
+        ``None``; single results come back ``cached=True`` (disk hits
+        promoted); a row of a column block comes back as its
+        ``(block, row)`` pair, unmaterialized, so a caller that reads
+        columns builds no :class:`SimResult` for it.  With caching off,
+        all ``None`` and no counter change.
         """
+        out: List[Any] = [None] * len(keys)
         if not self._cache_enabled:
-            return [None] * len(keys)
-        out: List[Optional[SimResult]] = [None] * len(keys)
+            return out
         cache = self._cache
-        hits = 0
-        thunks: List[Tuple[int, Any]] = []
-        if cache:
-            remaining: List[int] = []
-            for position, key in enumerate(keys):
-                if key is None:
-                    continue
-                hit = cache.get(key)
+        cache_hashes = self._cache_hashes
+        by_hash = self._blocks_by_hash
+        disk = self._disk_cache
+        unkeyed = misses = 0
+        for position, key in enumerate(keys):
+            if key is None:
+                unkeyed += 1
+                continue
+            design_hash = key[0]
+            hit = cache.get(key) if design_hash in cache_hashes else None
+            if hit is not None:
+                out[position] = replace(hit, cached=True)
+                continue
+            found = self._block_row(key) if design_hash in by_hash else None
+            if found is not None:
+                if disk is not None:
+                    self._persist_row(*found)
+                out[position] = found
+                continue
+            if disk is not None:
+                hit = disk.get(design_hash, key[1])
                 if hit is not None:
-                    hits += 1
+                    self._store(key, hit, disk=False)
                     out[position] = replace(hit, cached=True)
-                else:
-                    remaining.append(position)
-        else:
-            remaining = [position for position, key in enumerate(keys)
-                         if key is not None]
-        # A cold exploration of a new design probes thousands of keys
-        # that cannot be in the backfill tier; the hash index answers
-        # that for the whole group without touching the OrderedDict.
-        if remaining and self._backfill_hashes and any(
-                keys[position][0] in self._backfill_hashes
-                for position in remaining):
-            with self._lock:
-                backfill = self._vector_backfill
-                still: List[int] = []
-                for position in remaining:
-                    thunk = backfill.pop(keys[position], None)
-                    if thunk is not None:
-                        self._drop_backfill_hash(keys[position][0])
-                        thunks.append((position, thunk))
-                    else:
-                        still.append(position)
-                remaining = still
-            for position, thunk in thunks:
-                result = thunk()
-                self._store(keys[position], result)
-                hits += 1
-                out[position] = replace(result, cached=True)
-        if remaining and self._disk_cache is not None:
-            still = []
-            for position in remaining:
-                key = keys[position]
-                persisted = self._disk_cache.get(key[0], key[1])
-                if persisted is None:
-                    still.append(position)
                     continue
-                hits += 1
-                self._store(key, persisted, disk=False)
-                out[position] = replace(persisted, cached=True)
-            remaining = still
-        if hits or remaining:
+            misses += 1
+        hits = len(keys) - unkeyed - misses
+        if hits or misses:
             with self._lock:
                 self._cache_hits += hits
-                self._cache_misses += len(remaining)
+                self._cache_misses += misses
         return out
 
     def offer_result(self, key: Optional[Tuple[str, SimOptions]],
-                     thunk) -> None:
-        """Lazily publish a vector-evaluated result to the cache.
+                     result: SimResult) -> None:
+        """Publish one result computed outside :meth:`run`.
 
-        ``thunk`` must build the full :class:`SimResult` for ``key``
-        when called.  It is only ever invoked if the key is probed again
-        (a later identical run or explore point), at which point the
-        materialized result is promoted into both cache tiers and the
-        probe counts a hit — the same observable behavior as if the
-        object path had executed and stored the point.  Deferring the
-        materialization keeps the fast path fast: most explore points
-        are never re-requested.
-
-        Bounded (oldest offers dropped); no-op when caching is off, the
-        key is ``None``, or the key is already cached.
+        Stored eagerly, under :meth:`run`'s rule: both tiers, and only
+        when the result is :func:`~repro.exec.base.cacheable_result`.
+        The vectorized explore path offers its failed points here.
+        No-op when caching is off or the key is ``None``.
         """
-        self.offer_results([(key, thunk)])
+        if key is not None:
+            self._store(key, result)
 
-    def offer_results(self, offers, same_hash: Optional[str] = None
-                      ) -> None:
-        """Bulk :meth:`offer_result` over ``(key, thunk)`` pairs.
+    def offer_results(self, block: ResultBlock) -> None:
+        """Publish one group's feasible results as a column block.
 
-        Same semantics, one lock acquisition for the whole group.  A
-        caller whose offers all carry one design hash may pass it as
-        ``same_hash``; when that design has nothing cached or pending
-        yet (the cold-exploration common case) the whole group inserts
-        without per-key membership checks.
+        A later probe of any of its keys hits (see
+        :meth:`probe_results` and :meth:`run`); the block is never
+        unpacked into per-key entries.  Bounded by the total row count:
+        the oldest blocks are dropped whole.  No-op when caching is
+        off, the block is empty or its design is unserializable.
         """
-        if not self._cache_enabled or not offers:
+        design_hash = block.design_hash
+        if not self._cache_enabled or not len(block) or design_hash is None:
             return
-        cache = self._cache
-        backfill = self._vector_backfill
-        hashes = self._backfill_hashes
+        by_hash = self._blocks_by_hash
         with self._lock:
-            if same_hash is not None and same_hash not in hashes \
-                    and not cache:
-                before = len(backfill)
-                for key, thunk in offers:
-                    backfill[key] = thunk
-                added = len(backfill) - before
-                if added:
-                    hashes[same_hash] = hashes.get(same_hash, 0) + added
-                self._evict_backfill()
-                return
-            check_cache = bool(cache)
-            for key, thunk in offers:
-                if key is None or (check_cache
-                                   and cache.get(key) is not None):
-                    continue
-                if key in backfill:
-                    backfill.move_to_end(key)
+            self._blocks.append(block)
+            by_hash[design_hash] = [*by_hash.get(design_hash, ()), block]
+            self._block_rows += len(block)
+            while self._block_rows > _BLOCK_ROW_LIMIT:
+                oldest = self._blocks.popleft()
+                self._block_rows -= len(oldest)
+                # Per-hash lists age in the same order as the deque.
+                rest = by_hash[oldest.design_hash][1:]
+                if rest:
+                    by_hash[oldest.design_hash] = rest
                 else:
-                    hashes[key[0]] = hashes.get(key[0], 0) + 1
-                backfill[key] = thunk
-            self._evict_backfill()
-
-    def _drop_backfill_hash(self, design_hash: str) -> None:
-        """Un-count one backfill entry of ``design_hash`` (lock held)."""
-        count = self._backfill_hashes.get(design_hash, 0)
-        if count <= 1:
-            self._backfill_hashes.pop(design_hash, None)
-        else:
-            self._backfill_hashes[design_hash] = count - 1
-
-    def _evict_backfill(self) -> None:
-        """Enforce the backfill tier's size bound (lock held)."""
-        backfill = self._vector_backfill
-        while len(backfill) > _VECTOR_BACKFILL_LIMIT:
-            evicted, _ = backfill.popitem(last=False)
-            self._drop_backfill_hash(evicted[0])
+                    del by_hash[oldest.design_hash]
 
     def _pass_memo_for(self, design: Design,
                        design_hash: Optional[str]) -> PassMemo:
@@ -800,7 +765,7 @@ class Simulator:
         """Hit/miss/size counters of both result-cache tiers."""
         with self._lock:
             hits, misses = self._cache_hits, self._cache_misses
-            size = len(self._cache)
+            size = len(self._cache) + self._block_rows
         if self._disk_cache is None:
             return CacheInfo(hits=hits, misses=misses, size=size)
         disk = self._disk_cache.info()
@@ -820,8 +785,9 @@ class Simulator:
         """
         with self._lock:
             self._cache.clear()
-            self._vector_backfill.clear()
-            self._backfill_hashes.clear()
+            self._blocks.clear()
+            self._blocks_by_hash.clear()
+            self._block_rows = 0
             self._cache_hashes.clear()
         if disk and self._disk_cache is not None:
             self._disk_cache.clear()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro import units
-from repro.columns import maximum
+from repro.columns import maximum, total
 from repro.exceptions import ConfigurationError
 from repro.energy.report import Category, EnergyReport
 from repro.hw.chip import SensorSystem
@@ -37,7 +37,7 @@ class AreaBreakdown:
     @property
     def total(self) -> float:
         """Total area across on-chip layers."""
-        return sum(self.by_layer.values())
+        return total(self.by_layer.values())
 
     @property
     def footprint(self) -> float:
@@ -53,8 +53,8 @@ def estimate_area(system: SensorSystem) -> AreaBreakdown:
         if layer_name == OFF_CHIP:
             continue
         area = system.memory_area(layer_name)
-        area += sum(unit.area for unit in system.compute_units
-                    if unit.layer == layer_name)
+        area += total(unit.area for unit in system.compute_units
+                      if unit.layer == layer_name)
         by_layer[layer_name] = area
     # The pixel array sits on the layer hosting the first analog array.
     if system.analog_arrays and system.pixel_array_area > 0:
@@ -125,10 +125,10 @@ def power_density(system: SensorSystem, report: EnergyReport,
             f"power density over; set pixel geometry or memory areas")
     if system.is_stacked:
         return maximum(densities.values())
-    total_power = sum(entry.energy * report.frame_rate
-                      for entry in report.entries
-                      if entry.layer != OFF_CHIP
-                      and (include_comm or not _is_comm_entry(entry)))
+    total_power = total(entry.energy * report.frame_rate
+                        for entry in report.entries
+                        if entry.layer != OFF_CHIP
+                        and (include_comm or not _is_comm_entry(entry)))
     return total_power / areas.total
 
 

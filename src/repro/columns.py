@@ -12,7 +12,33 @@ NumPy, so the scalar engine does not import it.
 
 from __future__ import annotations
 
+import sys
 from functools import reduce
+from itertools import accumulate
+
+
+def _left_fold(values):
+    """``0 + v1 + v2 + ...``, added strictly left to right."""
+    result = 0
+    for result in accumulate(values, initial=0):
+        pass
+    return result
+
+
+#: The model's one reduction: ``0 + v1 + v2 + ...``, added strictly left
+#: to right, element-wise for columns.  Builtin ``sum`` compensates float
+#: rounding on CPython >= 3.12 but not before, so the same design would
+#: get different last bits on different interpreters; the left fold gives
+#: the bits of the scalar formulas everywhere.  Before 3.12 ``sum`` *is*
+#: this fold (and runs without allocating a float per step), so it serves
+#: there.  Starts from int ``0``, so an empty reduction is ``0`` and
+#: integer sums stay integers.
+total = _left_fold if sys.version_info >= (3, 12) else sum
+
+
+def element(value, index: int):
+    """Point ``index`` of a column as a float, or the shared constant."""
+    return float(value[index]) if _is_column(value) else value
 
 
 def _is_column(value) -> bool:

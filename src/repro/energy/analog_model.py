@@ -21,6 +21,7 @@ from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 if TYPE_CHECKING:  # avoid a runtime cycle with repro.sim
     from repro.sim.mapping import Mapping
 
+from repro.columns import total
 from repro.exceptions import SimulationError
 from repro.energy.report import Category, EnergyEntry
 from repro.hw.analog.array import AnalogArray
@@ -73,7 +74,7 @@ def analog_usage(graph: StageGraph, system: SensorSystem,
         compute_stages = [s for s in stages if not isinstance(s, PixelInput)]
         basis = _ops_basis(array)
         if compute_stages:
-            ops = sum(s.total_ops for s in compute_stages) / basis
+            ops = total(s.total_ops for s in compute_stages) / basis
             primary = compute_stages[-1]
         else:
             ops = stages[0].total_ops / basis
@@ -101,7 +102,7 @@ def analog_usage(graph: StageGraph, system: SensorSystem,
                 continue
             if any(p.name not in usages for p in producers):
                 continue
-            incoming = sum(usages[p.name].outgoing_items for p in producers)
+            incoming = total(usages[p.name].outgoing_items for p in producers)
             basis = _ops_basis(array)
             ops = incoming / basis
             stage_name = usages[producers[0].name].stage_name

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro import units
-from repro.columns import any_true
+from repro.columns import any_true, total
 from repro.exceptions import ConfigurationError
 
 
@@ -86,7 +86,7 @@ class EnergyReport:
     @property
     def total_energy(self) -> float:
         """Total energy per frame (Eq. 1)."""
-        return sum(e.energy for e in self.entries)
+        return total(e.energy for e in self.entries)
 
     @property
     def total_power(self) -> float:

@@ -32,34 +32,40 @@ observable cache side effect) and the engine falls back to
 ``elementwise`` send every group there.
 
 Cache semantics match the object path: every point probes the session
-result cache first (hits are served as cached results, misses counted),
-and vector-evaluated outcomes are offered back to the cache as lazy
-thunks (:meth:`Simulator.offer_result`) that materialize a full
-:class:`SimResult` only if the key is ever requested again.
+result cache first (hits counted, misses counted), and what the group
+computed goes back to the cache.  The feasible rows are published as
+one column block (:class:`~repro.api.result.ResultBlock`, through
+:meth:`Simulator.offer_results`): the group's options, its column
+report, its timing columns.  Its points are read off that block, and a
+later group whose keys are block rows is read off it the same way —
+metrics re-extracted column-wise, bottlenecks ranked column-wise, both
+gathered by row — without building a :class:`SimResult` per point.  A
+scalar :meth:`Simulator.run` or object-path probe of a block row
+materializes that one result.  Failed points are small and are offered
+as plain results (:meth:`Simulator.offer_result`), cached under the
+object path's rule.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.api.design import Design
-from repro.api.result import SimOptions, SimResult
+from repro.api.result import ResultBlock, SimOptions, SimResult
 from repro.api.simulator import Simulator
 from repro.energy.analog_model import analog_energy, analog_usage
 from repro.energy.comm_model import communication_energy
 from repro.energy.digital_model import digital_energy
-from repro.energy.report import Category, EnergyEntry, EnergyReport
+from repro.energy.report import Category, EnergyReport
 from repro.exceptions import CamJError, TimingError, VectorUnsupported
 from repro.explore.annotate import _HINTS, Bottleneck
 from repro.explore.engine import ExplorationPoint, _evaluate_point
 from repro.explore.metrics import Metric
 from repro.hw.analog.vector import lower_array
-from repro.resilience.policy import FailureClass, classify
 from repro.sim.cycle_sim import simulate_digital
 from repro.sim.simulator import _run_pass
 
@@ -135,20 +141,6 @@ def _error_point(params: Dict[str, Any], design: Design,
                             design_hash=design_hash,
                             failure_type=type(error).__name__,
                             failure=str(error))
-
-
-def _error_offer(design: Design, design_hash: Optional[str],
-                 options: SimOptions, error: CamJError):
-    """A cache offer for a failed outcome, iff the object path would
-    cache it; ``None`` otherwise."""
-    if design_hash is None:
-        return None
-    if classify(error) is not FailureClass.PERMANENT:
-        return None
-    design_name = design.name
-    return ((design_hash, options),
-            lambda: SimResult(design_name=design_name, options=options,
-                              design_hash=design_hash, error=error))
 
 
 def _new_point(params: Dict[str, Any], metrics: Dict[str, float],
@@ -237,21 +229,10 @@ def evaluate_group(simulator: Simulator, design: Design,
     # Eligibility first: lowering inspects only the system, so an
     # unsupported design escapes here with zero observable side effects.
     lowered = _lower_design(design, design_hash)
-
-    size = len(group)
-    points: List[Optional[ExplorationPoint]] = [None] * size
-    hits = 0
-    # Cache offers accumulate here and publish in one bulk call on
-    # every exit path.
-    offers: List[tuple] = []
-    try:
-        return _evaluate_lowered(simulator, design, design_hash, lowered,
-                                 group, objectives, annotate, points,
-                                 offers)
-    finally:
-        # Offers are only ever accumulated under a non-None design
-        # hash, so the whole group shares it.
-        simulator.offer_results(offers, same_hash=design_hash)
+    points: List[Optional[ExplorationPoint]] = [None] * len(group)
+    hits = _evaluate_lowered(simulator, design, design_hash, lowered,
+                             group, objectives, annotate, points)
+    return points, hits
 
 
 def _evaluate_lowered(simulator: Simulator, design: Design,
@@ -259,10 +240,18 @@ def _evaluate_lowered(simulator: Simulator, design: Design,
                       lowered: Dict[str, Callable],
                       group: List[Tuple[Dict[str, Any], SimOptions]],
                       objectives: Sequence[Metric], annotate: bool,
-                      points: List[Optional[ExplorationPoint]],
-                      offers: List[tuple]
-                      ) -> Tuple[List[ExplorationPoint], int]:
-    hits = 0
+                      points: List[Optional[ExplorationPoint]]) -> int:
+    """Fill ``points``; returns how many the result cache served."""
+
+    def fail(indices: Sequence[int], error: CamJError) -> None:
+        # A failure is cached under run()'s rule (permanent ones only).
+        for i in indices:
+            params, options = group[i]
+            points[i] = _error_point(params, design, design_hash, error)
+            if design_hash is not None:
+                simulator.offer_result((design_hash, options), SimResult(
+                    design_name=design.name, options=options,
+                    design_hash=design_hash, error=error))
 
     # Mirror the object path's order: run() probes the cache before it
     # executes anything, so cached points never touch checks or passes.
@@ -273,45 +262,44 @@ def _evaluate_lowered(simulator: Simulator, design: Design,
         keys = [(design_hash, options) for _, options in group]
         probed = simulator.probe_results(keys)
         pending: List[int] = []
+        # Rows of cached column blocks are read column-wise, per block:
+        # block -> (group positions, their rows).
+        served: Dict[int, Tuple[ResultBlock, List[int], List[int]]] = {}
         for i, hit in enumerate(probed):
-            if hit is not None:
-                hits += 1
-                params, _ = group[i]
-                points[i] = _evaluate_point(params, design, hit,
-                                            objectives, annotate)
-            else:
+            if hit is None:
                 pending.append(i)
+            elif type(hit) is tuple:
+                block, row = hit
+                _, positions, rows = served.setdefault(id(block),
+                                                       (block, [], []))
+                positions.append(i)
+                rows.append(row)
+            else:
+                points[i] = _evaluate_point(group[i][0], design, hit,
+                                            objectives, annotate)
+        for block, positions, rows in served.values():
+            _read_block(block, design, group, positions, rows, objectives,
+                        annotate, points)
+        hits = len(group) - len(pending)
         if not pending:
-            return points, hits
+            return hits
     else:
         # Cold group (or unserializable design): every point is pending.
+        hits = 0
         pending = list(range(len(group)))
 
     # Pre-simulation checks, once per design, session-deduplicated —
     # exactly the engine's prelude.  A check failure fails every
     # checked point with the same typed error the object path reports.
-    check_error: Optional[CamJError] = None
+    survivors = pending
     if any(not group[i][1].skip_checks for i in pending):
         try:
             simulator.ensure_design_checked(design, design_hash)
         except CamJError as error:
-            check_error = error
-    if check_error is None:
-        survivors = pending
-    else:
-        survivors = []
-        for i in pending:
-            params, options = group[i]
-            if options.skip_checks:
-                survivors.append(i)
-                continue
-            points[i] = _error_point(params, design, design_hash,
-                                     check_error)
-            offer = _error_offer(design, design_hash, options, check_error)
-            if offer is not None:
-                offers.append(offer)
-        if not survivors:
-            return points, hits
+            fail([i for i in pending if not group[i][1].skip_checks], error)
+            survivors = [i for i in pending if group[i][1].skip_checks]
+            if not survivors:
+                return hits
 
     # Design-only passes through the session memo: an interleaved or
     # subsequent object-path run of this design reuses these outputs
@@ -328,13 +316,8 @@ def _evaluate_lowered(simulator: Simulator, design: Design,
             lambda: analog_usage(design.graph, design.system,
                                  design.mapping, resolved=resolved))
     except CamJError as error:
-        for i in survivors:
-            params, options = group[i]
-            points[i] = _error_point(params, design, design_hash, error)
-            offer = _error_offer(design, design_hash, options, error)
-            if offer is not None:
-                offers.append(offer)
-        return points, hits
+        fail(survivors, error)
+        return hits
 
     # Timing, vectorized (estimate_frame_timing element-wise).  Note
     # SimOptions validates frame_rate > 0 and exposure_slots >= 1, so
@@ -364,18 +347,14 @@ def _evaluate_lowered(simulator: Simulator, design: Design,
                 feasible_positions.append(position)
                 continue
             i = survivors[position]
-            params, options = group[i]
             error = TimingError(
                 f"digital latency ({digital_latency:.3e} s) exceeds the "
                 f"frame budget ({frame_time_list[position]:.3e} s at "
-                f"{options.frame_rate:g} FPS); the "
+                f"{group[i][1].frame_rate:g} FPS); the "
                 f"digital pipeline needs a re-design")
-            points[i] = _error_point(params, design, design_hash, error)
-            offer = _error_offer(design, design_hash, options, error)
-            if offer is not None:
-                offers.append(offer)
+            fail([i], error)
         if not feasible_positions:
-            return points, hits
+            return hits
         # Compact to the feasible subset (exact element copies, so the
         # downstream arithmetic is unchanged).
         index = np.array(feasible_positions)
@@ -409,102 +388,59 @@ def _evaluate_lowered(simulator: Simulator, design: Design,
                                          design.mapping,
                                          resolved=resolved)))
     except CamJError as error:
-        for i in feasible_survivors:
-            params, options = group[i]
-            points[i] = _error_point(params, design, design_hash, error)
-            offer = _error_offer(design, design_hash, options, error)
-            if offer is not None:
-                offers.append(offer)
-        return points, hits
+        fail(feasible_survivors, error)
+        return hits
 
-    size = len(feasible_survivors)
-    entries = report.entries
+    # The evaluated rows become one cached column block, and the
+    # group's points are read off it exactly as a later replay reads
+    # them.
+    block = ResultBlock(design_name=design.name, design_hash=design_hash,
+                        options=[group[i][1] for i in feasible_survivors],
+                        report=report)
+    simulator.offer_results(block)
+    _read_block(block, design, group, feasible_survivors,
+                list(range(len(block))), objectives, annotate, points)
+    return hits
 
-    # Metrics, column-wise, in objective order.  A failing metric is
-    # design-wide here (per-point metric failures cannot arise from the
-    # built-in extractors), so it fails every point of the group with
-    # the object path's message.
-    columns: List[Tuple[str, List[float]]] = []
-    metric_error: Optional[CamJError] = None
-    failed_objective: Optional[Metric] = None
+
+def _read_block(block: ResultBlock, design: Design,
+                group: List[Tuple[Dict[str, Any], SimOptions]],
+                positions: List[int], rows: List[int],
+                objectives: Sequence[Metric], annotate: bool,
+                points: List[Optional[ExplorationPoint]]) -> None:
+    """Points of the group ``positions`` served by the block's ``rows``.
+
+    Metrics and bottlenecks are computed column-wise over the whole
+    block, then gathered by row.  A failing metric is design-wide here
+    (per-point metric failures cannot arise from the built-in
+    extractors), so it fails every served point with the object path's
+    message — the simulation itself succeeded, which is why the block
+    is cached.
+    """
+    size = len(block)
+    report = block.report
+    design_name = design.name
+    design_hash = block.design_hash
+    in_order = rows == list(range(size))
+    columns: List[List[float]] = []
     for objective in objectives:
         try:
             raw = objective.extract(design, report)
         except CamJError as error:
-            metric_error = error
-            failed_objective = objective
-            break
-        columns.append((objective.name, _column(raw, size).tolist()))
-    design_name = design.name
-    system_name = design.system.name
-    if metric_error is not None:
-        failure = f"metric {failed_objective.name!r}: {metric_error}"
-        delay_list = delay_f.tolist()
-        frame_time_f_list = frame_time_f.tolist()
-        failure_type = type(metric_error).__name__
-        for column, i in enumerate(feasible_survivors):
-            params, options = group[i]
-            points[i] = ExplorationPoint(
-                params=params, design_name=design_name,
-                design_hash=design_hash,
-                failure_type=failure_type, failure=failure)
-            # The simulation itself succeeded — the object path would
-            # cache its result even though the metric failed.
-            if design_hash is not None:
-                offers.append((
-                    (design_hash, options),
-                    partial(_materialize_report, design_name, system_name,
-                            design_hash, options, frame_time_f_list[column],
-                            digital_latency, delay_list[column], entries,
-                            column)))
-        return points, hits
-
+            failure = f"metric {objective.name!r}: {error}"
+            failure_type = type(error).__name__
+            for i in positions:
+                points[i] = ExplorationPoint(
+                    params=group[i][0], design_name=design_name,
+                    design_hash=design_hash,
+                    failure_type=failure_type, failure=failure)
+            return
+        values = _column(raw, size)
+        columns.append((values if in_order else values[rows]).tolist())
     bottlenecks: List[Optional[Bottleneck]] = [None] * size
     if annotate:
         bottlenecks = _vector_bottlenecks(report, size)
-
-    delay_list = delay_f.tolist()
-    frame_time_f_list = frame_time_f.tolist()
-    metric_names = tuple(name for name, _ in columns)
-    metric_rows = list(zip(*(values for _, values in columns)))
-    for column, i in enumerate(feasible_survivors):
-        params, options = group[i]
-        points[i] = _new_point(params,
-                               dict(zip(metric_names, metric_rows[column])),
-                               design_name, design_hash,
-                               bottlenecks[column])
-        if design_hash is not None:
-            offers.append((
-                (design_hash, options),
-                partial(_materialize_report, design_name, system_name,
-                        design_hash, options, frame_time_f_list[column],
-                        digital_latency, delay_list[column], entries,
-                        column)))
-    return points, hits
-
-
-def _materialize_report(design_name: str, system_name: str,
-                        design_hash: str, options: SimOptions,
-                        frame_time: float, digital_latency: float,
-                        analog_stage_delay: float,
-                        entries: List[EnergyEntry],
-                        column: int) -> SimResult:
-    """Rebuild one feasible point's full, bit-identical report.
-
-    Bound into a cache offer via :func:`functools.partial`, so the cost
-    per point stays one (C-level) partial until the key is ever probed
-    again — most explore points never are.
-    """
-    report = EnergyReport(system_name=system_name,
-                          frame_rate=options.frame_rate,
-                          frame_time=frame_time,
-                          digital_latency=digital_latency,
-                          analog_stage_delay=analog_stage_delay)
-    report.extend(EnergyEntry(
-        name=entry.name, category=entry.category, layer=entry.layer,
-        energy=(float(entry.energy[column])
-                if isinstance(entry.energy, np.ndarray)
-                else entry.energy),
-        stage=entry.stage) for entry in entries)
-    return SimResult(design_name=design_name, options=options,
-                     design_hash=design_hash, report=report)
+    metric_names = tuple(objective.name for objective in objectives)
+    for i, row, metrics in zip(positions, rows, zip(*columns)):
+        points[i] = _new_point(group[i][0], dict(zip(metric_names, metrics)),
+                               design_name, design_hash, bottlenecks[row])

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.columns import total
 from repro.exceptions import ConfigurationError
 from repro.hw.analog.components import AnalogComponent, _volume
 from repro.hw.analog.domain import SignalDomain
@@ -105,7 +106,7 @@ class AnalogArray:
     @property
     def num_components(self) -> int:
         """Total component instances across all entries."""
-        return sum(count for _, count in self._entries)
+        return total(count for _, count in self._entries)
 
     @property
     def input_domain(self) -> SignalDomain:
@@ -179,7 +180,7 @@ class AnalogArray:
 
     def energy(self, ops: float, array_delay: float) -> float:
         """Total array energy for ``ops`` operations (Eq. 2 restricted here)."""
-        return sum(self.energy_breakdown(ops, array_delay).values())
+        return total(self.energy_breakdown(ops, array_delay).values())
 
     def describe(self) -> str:
         """Multi-line summary of the array contents."""

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 from repro import units
+from repro.columns import total
 from repro.exceptions import ConfigurationError
 from repro.hw.analog.adc_fom import adc_energy_per_conversion
 
@@ -99,12 +100,12 @@ class DynamicCell(AnalogCell):
     @property
     def total_capacitance(self) -> float:
         """Sum of all switched capacitances."""
-        return sum(c for c, _ in self.nodes)
+        return total(c for c, _ in self.nodes)
 
     def energy(self, cell_delay: float, static_time: Optional[float] = None
                ) -> float:
         """``sum(C_i * V_i**2)`` — independent of timing."""
-        return sum(c * v ** 2 for c, v in self.nodes)
+        return total(c * v ** 2 for c, v in self.nodes)
 
 
 class StaticCell(AnalogCell):

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro import units
+from repro.columns import total
 from repro.exceptions import ConfigurationError
 from repro.hw.analog.array import AnalogArray
 from repro.hw.digital.compute import ComputeUnit
@@ -162,8 +163,8 @@ class SensorSystem:
 
     def memory_area(self, layer_name: Optional[str] = None) -> float:
         """Total digital memory area (the paper's digital-area proxy)."""
-        return sum(m.area for m in self.memories
-                   if layer_name is None or m.layer == layer_name)
+        return total(m.area for m in self.memories
+                     if layer_name is None or m.layer == layer_name)
 
     def describe(self) -> str:
         """Multi-line inventory of the system."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro import units
+from repro.columns import total
 from repro.exceptions import ConfigurationError
 from repro.hw.digital.memory import DigitalMemory
 from repro.hw.layer import SENSOR_LAYER
@@ -117,7 +118,7 @@ class ComputeUnit:
     @property
     def input_throughput(self) -> int:
         """Pixels consumed per cycle across all inputs."""
-        return sum(_volume(shape) for shape in self.input_pixels_per_cycle)
+        return total(_volume(shape) for shape in self.input_pixels_per_cycle)
 
     @property
     def output_throughput(self) -> int:

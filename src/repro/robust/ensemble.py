@@ -34,6 +34,7 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
 from repro.api.design import Design
 from repro.api.result import SimOptions
 from repro.api.simulator import Simulator
+from repro.columns import total
 from repro.exceptions import (CamJError, ConfigurationError,
                               SerializationError, SimulationError)
 from repro.explore.engine import (DEFAULT_OBJECTIVES, RESILIENCE_COUNTERS,
@@ -347,7 +348,7 @@ def _failure_entries(evaluations: Sequence[_Evaluation]
 
 
 def _accounting(evaluations: Sequence[_Evaluation]) -> Dict[str, int]:
-    ok = sum(1 for evaluation in evaluations if evaluation.feasible)
+    ok = total(1 for evaluation in evaluations if evaluation.feasible)
     return {"total": len(evaluations), "ok": ok,
             "failed": len(evaluations) - ok}
 

@@ -33,6 +33,7 @@ from repro.api.design import Design
 from repro.api.registry import build_usecase
 from repro.api.result import SimOptions
 from repro.api.simulator import Simulator
+from repro.columns import total
 from repro.exceptions import ConfigurationError
 from repro.explore.engine import (DEFAULT_OBJECTIVES, ExplorationPoint,
                                   ExplorationResult, explore_stream)
@@ -105,13 +106,13 @@ def _reduce(values: Sequence[float], statistic: Union[str, float],
     if statistic == "std":
         if min(values) == max(values):
             return 0.0
-        mean = sum(values) / len(values)
-        return (sum((value - mean) ** 2
-                    for value in values) / len(values)) ** 0.5
+        mean = total(values) / len(values)
+        return (total((value - mean) ** 2
+                      for value in values) / len(values)) ** 0.5
     if min(values) == max(values):
         return values[0]
     if statistic == "mean":
-        return sum(values) / len(values)
+        return total(values) / len(values)
     if statistic == "min":
         return min(values)
     if statistic == "max":

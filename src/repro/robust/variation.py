@@ -38,6 +38,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Tuple
 
 from repro.api import serialize
 from repro.api.design import Design
+from repro.columns import total
 from repro.exceptions import ConfigurationError, SerializationError
 from repro.tech.corners import PvtPoint, standard_pvt_points
 
@@ -66,21 +67,21 @@ def _scale(container: Dict[str, Any], key: str, factor: float) -> int:
 
 def _memories(system: Dict[str, Any], key: str,
               factor: float) -> int:
-    return sum(_scale(memory, key, factor)
-               for memory in system.get("memories", []))
+    return total(_scale(memory, key, factor)
+                 for memory in system.get("memories", []))
 
 
 def _compute_units(system: Dict[str, Any], key: str, factor: float,
                    unit_type: str = "") -> int:
-    return sum(_scale(unit, key, factor)
-               for unit in system.get("compute_units", [])
-               if not unit_type or unit.get("type") == unit_type)
+    return total(_scale(unit, key, factor)
+                 for unit in system.get("compute_units", [])
+                 if not unit_type or unit.get("type") == unit_type)
 
 
 def _interfaces(system: Dict[str, Any], factor: float) -> int:
-    return sum(_scale(system[role], "energy_per_byte", factor)
-               for role in ("offchip_interface", "interlayer_interface")
-               if isinstance(system.get(role), dict))
+    return total(_scale(system[role], "energy_per_byte", factor)
+                 for role in ("offchip_interface", "interlayer_interface")
+                 if isinstance(system.get(role), dict))
 
 
 def _analog_cells(system: Dict[str, Any]) -> Iterable[Dict[str, Any]]:
@@ -92,9 +93,9 @@ def _analog_cells(system: Dict[str, Any]) -> Iterable[Dict[str, Any]]:
 
 def _cells(system: Dict[str, Any], key: str, factor: float,
            cell_types: Tuple[str, ...]) -> int:
-    return sum(_scale(cell, key, factor)
-               for cell in _analog_cells(system)
-               if cell.get("type") in cell_types)
+    return total(_scale(cell, key, factor)
+                 for cell in _analog_cells(system)
+                 if cell.get("type") in cell_types)
 
 
 def _dynamic_nodes(system: Dict[str, Any], factor: float) -> int:

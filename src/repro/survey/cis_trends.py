@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
+from repro.columns import total
 from repro.exceptions import ConfigurationError
 
 
@@ -138,10 +139,10 @@ def _log_linear_slope(points: Sequence[DesignPoint]) -> Tuple[float, float]:
         raise ConfigurationError("trend fit needs at least two points")
     xs = [p.year for p in points]
     ys = [math.log2(p.value) for p in points]
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    var = sum((x - mean_x) ** 2 for x in xs)
+    mean_x = total(xs) / n
+    mean_y = total(ys) / n
+    cov = total((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    var = total((x - mean_x) ** 2 for x in xs)
     slope = cov / var
     intercept = mean_y - slope * mean_x
     return slope, intercept

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
+from repro.columns import total
 from repro.exceptions import ConfigurationError
 
 
@@ -100,20 +101,20 @@ class MemoryTrace:
     @property
     def read_bytes(self) -> float:
         """Total bytes read."""
-        return sum(e.num_bytes for e in self.events if e.op == "R")
+        return total(e.num_bytes for e in self.events if e.op == "R")
 
     @property
     def write_bytes(self) -> float:
         """Total bytes written."""
-        return sum(e.num_bytes for e in self.events if e.op == "W")
+        return total(e.num_bytes for e in self.events if e.op == "W")
 
     @property
     def num_reads(self) -> int:
-        return sum(1 for e in self.events if e.op == "R")
+        return total(1 for e in self.events if e.op == "R")
 
     @property
     def num_writes(self) -> int:
-        return sum(1 for e in self.events if e.op == "W")
+        return total(1 for e in self.events if e.op == "W")
 
     @property
     def duration(self) -> Optional[float]:

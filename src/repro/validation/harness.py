@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.columns import total
 from repro.validation.base import ChipModel, ChipResult
 
 
@@ -24,7 +25,7 @@ class ValidationSummary:
     def mean_absolute_percentage_error(self) -> float:
         if not self.results:
             return 0.0
-        return sum(r.absolute_percentage_error for r in self.results) \
+        return total(r.absolute_percentage_error for r in self.results) \
             / len(self.results)
 
     @property
@@ -54,11 +55,11 @@ def _pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     n = len(xs)
     if n < 2:
         raise ValueError("Pearson correlation needs at least two points")
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    var_x = sum((x - mean_x) ** 2 for x in xs)
-    var_y = sum((y - mean_y) ** 2 for y in ys)
+    mean_x = total(xs) / n
+    mean_y = total(ys) / n
+    cov = total((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    var_x = total((x - mean_x) ** 2 for x in xs)
+    var_y = total((y - mean_y) ** 2 for y in ys)
     if var_x == 0 or var_y == 0:
         raise ValueError("Pearson correlation undefined for constant series")
     return cov / math.sqrt(var_x * var_y)

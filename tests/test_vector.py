@@ -15,8 +15,10 @@ import sys
 
 import pytest
 
-from repro.api import Simulator
+import repro.api.simulator as simulator_module
+from repro.api import SimOptions, Simulator, build_usecase
 from repro.api.registry import available_usecases
+from repro.api.result import ResultBlock
 from repro.energy.report import Category
 from repro.exceptions import ConfigurationError, SerializationError
 from repro.explore import (
@@ -28,6 +30,7 @@ from repro.explore import (
     exploration_spec_from_dict,
     explore,
     grid,
+    product,
     register_metric,
     zipped,
 )
@@ -262,6 +265,145 @@ class TestCacheIntegration:
                 objectives=("energy_per_frame",),
                 simulator=simulator, engine="vector")
         assert simulator.cache_info().hits == 0
+
+
+class TestBlockCache:
+    """Vector groups are cached as column blocks and replayed from them."""
+
+    _OBJECTIVES = ("energy_per_frame", "power_density", "latency")
+    _RATES = [15.0, 24.0, 30.0, 60.0, 90.0, 120.0]
+
+    @pytest.fixture
+    def materialized(self, monkeypatch):
+        """Counts the block rows turned into full SimResults."""
+        calls = []
+        original = ResultBlock.result
+
+        def counting(block, row):
+            calls.append(row)
+            return original(block, row)
+        monkeypatch.setattr(ResultBlock, "result", counting)
+        return calls
+
+    def _space(self, rates):
+        return product(choice("placement", ["2D-In", "3D-In-STT"]),
+                       choice("options.frame_rate", rates))
+
+    def _explore(self, simulator, rates):
+        return explore(self._space(rates), "edgaze",
+                       objectives=self._OBJECTIVES, simulator=simulator,
+                       engine="vector")
+
+    @staticmethod
+    def _document(result):
+        document = result.to_dict()
+        document.pop("engines")
+        return document
+
+    def test_warm_replay_reads_rows_not_results(self, materialized):
+        simulator = Simulator()
+        cold = self._explore(simulator, self._RATES)
+        before = simulator.cache_info()
+        warm = self._explore(simulator, self._RATES)
+        after = simulator.cache_info()
+        assert materialized == []
+        assert after.hits - before.hits == len(cold.points)
+        assert after.misses == before.misses
+        assert warm.points == cold.points
+        assert self._document(warm) == self._document(cold)
+        assert warm.engines["vectorized"] == len(cold.points)
+
+    def test_superset_replay_hits_old_rows_and_misses_new(self,
+                                                          materialized):
+        simulator = Simulator()
+        self._explore(simulator, self._RATES)
+        before = simulator.cache_info()
+        new_rates = [45.0, 75.0, 150.0]
+        superset = self._explore(simulator, self._RATES + new_rates)
+        after = simulator.cache_info()
+        assert materialized == []
+        assert after.hits - before.hits == 2 * len(self._RATES)
+        assert after.misses - before.misses == 2 * len(new_rates)
+        fresh = self._explore(Simulator(), self._RATES + new_rates)
+        assert superset.points == fresh.points
+        assert self._document(superset) == self._document(fresh)
+
+    def test_infeasible_rate_is_served_as_a_cached_failure(self):
+        rates = self._RATES + [3.0e6]
+        simulator = Simulator()
+        cold = self._explore(simulator, rates)
+        before = simulator.cache_info()
+        warm = self._explore(simulator, rates)
+        assert simulator.cache_info().hits - before.hits == len(cold.points)
+        failed = [point for point in warm.points if not point.feasible]
+        assert len(failed) == 2
+        assert all(point.failure_type == "TimingError" for point in failed)
+        assert warm.points == cold.points
+        design = build_usecase("edgaze", placement="2D-In")
+        result = simulator.run(design, SimOptions(frame_rate=3.0e6))
+        assert result.cached and result.error_type == "TimingError"
+        assert result.failure == next(point.failure for point in failed)
+
+    def test_row_bound_evicts_the_oldest_whole_block(self, monkeypatch):
+        # One design, three disjoint rate sets: three blocks of 4 rows.
+        monkeypatch.setattr(simulator_module, "_BLOCK_ROW_LIMIT", 10)
+        simulator = Simulator()
+        sets = [[20.0, 21.0, 22.0, 23.0], [30.0, 31.0, 32.0, 33.0],
+                [40.0, 41.0, 42.0, 43.0]]
+        for rates in sets:
+            explore(grid(**{"options.frame_rate": rates}), "edgaze",
+                    objectives=("energy_per_frame",), simulator=simulator,
+                    engine="vector")
+        # 12 rows > 10: the first block went, whole; the others stay.
+        assert simulator.cache_info().size == 8
+        # Newest first: replaying the evicted set publishes it again.
+        for rates, expected_hits in zip(sets[::-1], (4, 4, 0)):
+            before = simulator.cache_info()
+            explore(grid(**{"options.frame_rate": rates}), "edgaze",
+                    objectives=("energy_per_frame",), simulator=simulator,
+                    engine="vector")
+            assert simulator.cache_info().hits - before.hits \
+                == expected_hits
+        assert simulator.cache_info().size == 8
+
+    def test_scalar_run_materializes_one_bit_identical_row(self,
+                                                           materialized):
+        simulator = Simulator()
+        self._explore(simulator, self._RATES)
+        design = build_usecase("edgaze", placement="3D-In-STT")
+        options = SimOptions(frame_rate=60.0)
+        hit = simulator.run(design, options)
+        assert hit.cached and len(materialized) == 1
+        scalar = Simulator(cache=False).run(design, options)
+        assert hit.to_dict()["report"] == scalar.to_dict()["report"]
+        assert hit.design_hash == scalar.design_hash
+
+    def test_disk_tier_gets_each_row_on_its_first_serve(self, tmp_path):
+        rates = [21.0, 34.0, 55.0, 89.0, 3.0e6]
+        simulator = Simulator(cache_dir=tmp_path)
+        space = grid(**{"options.frame_rate": rates})
+        for _ in range(2):
+            cold = explore(space, "edgaze",
+                           objectives=("energy_per_frame", "latency"),
+                           simulator=simulator, engine="vector")
+        design = build_usecase("edgaze")
+        assert simulator.run(design, SimOptions(frame_rate=21.0)).cached
+        info = simulator.cache_info()
+        assert (info.hits, info.misses) == (len(rates) + 1, len(rates))
+        assert info.disk_entries == len(rates)
+        # Every entry is the object engine's result, bit for bit.
+        reader = Simulator(cache_dir=tmp_path)
+        scalar = Simulator(cache=False)
+        for rate in rates:
+            options = SimOptions(frame_rate=rate)
+            stored = reader.run(design, options)
+            assert stored.cached
+            expected = scalar.run(design, options)
+            assert stored.to_dict()["report"] == \
+                expected.to_dict()["report"]
+            assert stored.failure == expected.failure
+        assert reader.cache_info().disk_hits == len(rates)
+        assert len(cold.points) == len(rates)
 
 
 class TestSerialization:
