@@ -552,13 +552,23 @@ def decode_design_parts(payload: Dict[str, Any]):
             f"unsupported design schema {schema!r}; expected "
             f"{DESIGN_SCHEMA!r}")
     try:
+        for key, kind in (("stages", list), ("system", dict),
+                          ("mapping", dict)):
+            if not isinstance(payload[key], kind):
+                raise SerializationError(
+                    f"malformed design payload: {key!r} must be a JSON "
+                    f"{'array' if kind is list else 'object'}")
         stages = decode_stages(payload["stages"])
         system = decode_system(payload["system"])
         mapping = Mapping(payload["mapping"])
     except KeyError as error:
         raise SerializationError(
             f"malformed design payload: missing key {error}") from error
+    name = payload.get("name", system.name)
+    if not isinstance(name, str):
+        raise SerializationError(
+            "malformed design payload: 'name' must be a string")
     # Validate here (fail fast) and hand the graph on so Design need not
     # rebuild it.
     graph = StageGraph(stages)
-    return graph, system, mapping, payload.get("name", system.name)
+    return graph, system, mapping, name

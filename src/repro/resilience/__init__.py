@@ -13,8 +13,8 @@ layer uses to survive failure instead of losing work:
   --journal`` restart recovery;
 * :mod:`repro.resilience.faults` — the deterministic, seeded
   fault-injection harness (:class:`FaultInjector`, configured via the
-  ``REPRO_FAULTS`` environment variable) the resilience tests, the
-  chaos CI job, and ``bench_resilience`` all drive.
+  ``REPRO_FAULTS`` environment variable) the resilience tests and the
+  chaos CI jobs drive.
 """
 
 from repro.resilience.faults import (

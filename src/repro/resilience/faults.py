@@ -2,8 +2,8 @@
 
 One seeded :class:`FaultInjector`, configured through the
 :data:`FAULTS_ENV` environment variable (or programmatically), drives
-every chaos scenario the resilience tests, the ``chaos-smoke`` CI job,
-and ``benchmarks/bench_resilience.py`` exercise:
+every chaos scenario the resilience tests (``tests/test_resilience.py``)
+and the ``chaos-smoke`` and ``distributed-smoke`` CI jobs exercise:
 
 ``kill_rate`` / ``kill_design``
     Kill the executing worker process with ``os._exit`` — either a

@@ -20,8 +20,8 @@ Three simulation levels are provided:
 
 * :func:`_cycle_accurate_reference` — the original per-cycle loop, kept
   as the ground truth the event-driven simulator is verified against
-  (see ``tests/test_cycle_sim_equivalence.py`` and
-  ``benchmarks/bench_cycle_sim.py``), and as the fallback for the rare
+  (see ``tests/test_cycle_sim_equivalence.py``, which also holds the
+  event-driven path to >= 10x the loop), and as the fallback for the rare
   configurations whose bookkeeping is not exactly representable
   (fractional per-port pixel shares or fractional memory capacities).
 
@@ -700,7 +700,7 @@ def _cycle_accurate_reference(graph: StageGraph, system: SensorSystem,
     """The original per-cycle loop: O(cycles x stages x depth), exact.
 
     Kept as the ground truth for the event-driven simulator's
-    equivalence tests and benchmarks, and as the fallback for
+    equivalence and speed tests, and as the fallback for
     configurations with non-integral occupancy bookkeeping.
     """
     if resolved is None:

@@ -2,7 +2,7 @@
 
 A 32x32 pixel array with 2x2 charge-domain binning, column ADCs, a line
 buffer, and a 3x3 digital edge-detection unit.  Shared by the quickstart
-example, the test fixtures, and the Fig. 6 bench.
+example, the test fixtures, and the Fig. 6 timing tests.
 """
 
 from __future__ import annotations

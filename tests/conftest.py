@@ -4,6 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro import units
+from repro.api import Design
+from repro.hw.analog.array import AnalogArray
+from repro.hw.analog.components import ActivePixelSensor, ColumnADC
+from repro.hw.chip import SensorSystem
+from repro.hw.digital.compute import ComputeUnit
+from repro.hw.digital.memory import FIFO, DigitalMemory
+from repro.hw.layer import Layer, SENSOR_LAYER
+from repro.sw.stage import PixelInput, ProcessStage
 from repro.usecases.fig5 import (
     FIG5_MAPPING,
     build_fig5_stages,
@@ -44,6 +53,72 @@ def _no_ambient_chaos(monkeypatch):
     reset_injector()
     yield
     reset_injector()
+
+
+def streaming_design(size: int, fractional_mid: bool = True) -> Design:
+    """Input -> Denoise -> Sharpen streamed over a ``size x size`` frame.
+
+    With ``fractional_mid`` the buffer between the two PEs holds 10-bit
+    pixels packed into a byte-addressed SRAM, so its pixel capacity is
+    fractional: the event-driven cycle simulator hands such designs to
+    the reference per-cycle loop (O(cycles x stages x depth)), which
+    makes cycle-exact evaluation expensive enough for cache-reuse
+    speedups to be measurable.  Without it the buffer is a
+    ``2 * size``-entry FIFO the event-driven simulator handles itself.
+    """
+    source = PixelInput((size, size, 1), name="Input")
+    denoise = ProcessStage("Denoise", input_size=(size, size, 1),
+                           kernel=(1, 1, 1), stride=(1, 1, 1))
+    sharpen = ProcessStage("Sharpen", input_size=(size, size, 1),
+                           kernel=(1, 1, 1), stride=(1, 1, 1))
+    denoise.set_input_stage(source)
+    sharpen.set_input_stage(denoise)
+
+    system = SensorSystem(f"Validate-{size}",
+                          layers=[Layer(SENSOR_LAYER, 65)])
+    pixels = AnalogArray("Pixels")
+    pixels.add_component(ActivePixelSensor(), (size, size))
+    adcs = AnalogArray("ADCs")
+    adcs.add_component(ColumnADC(), (1, size))
+    pixels.set_output(adcs)
+    in_fifo = FIFO("InFifo", size=(1, 4 * size), write_energy_per_word=0,
+                   read_energy_per_word=0, num_read_ports=4,
+                   num_write_ports=4)
+    adcs.set_output(in_fifo)
+    if fractional_mid:
+        mid = DigitalMemory("Mid", capacity_pixels=2 * size * 8 / 10 + 0.4,
+                            write_energy_per_word=0.2 * units.pJ,
+                            read_energy_per_word=0.2 * units.pJ,
+                            num_read_ports=4, num_write_ports=4)
+    else:
+        mid = FIFO("Mid", size=(1, 2 * size), write_energy_per_word=0,
+                   read_energy_per_word=0, num_read_ports=4,
+                   num_write_ports=4)
+    first = ComputeUnit("DenoisePE", input_pixels_per_cycle=(1, 1),
+                        output_pixels_per_cycle=(1, 1),
+                        energy_per_cycle=1 * units.pJ, num_stages=3)
+    second = ComputeUnit("SharpenPE", input_pixels_per_cycle=(1, 1),
+                         output_pixels_per_cycle=(1, 1),
+                         energy_per_cycle=1 * units.pJ, num_stages=2)
+    first.set_input(in_fifo).set_output(mid)
+    second.set_input(mid)
+    second.set_sink()
+    system.add_analog_array(pixels)
+    system.add_analog_array(adcs)
+    system.add_memory(in_fifo)
+    system.add_memory(mid)
+    system.add_compute_unit(first)
+    system.add_compute_unit(second)
+    system.set_pixel_array_geometry(size, size)
+    return Design([source, denoise, sharpen], system,
+                  {"Input": "Pixels", "Denoise": "DenoisePE",
+                   "Sharpen": "SharpenPE"}, name=f"Validate-{size}")
+
+
+@pytest.fixture
+def streaming_builder():
+    """:func:`streaming_design` as a ``size -> Design`` usecase builder."""
+    return streaming_design
 
 
 @pytest.fixture

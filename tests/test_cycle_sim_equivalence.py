@@ -10,6 +10,7 @@ buffers, too few ports, mixed clocks — and compare outcomes pairwise.
 """
 
 import random
+import time
 
 import pytest
 
@@ -143,6 +144,25 @@ class TestRandomizedEquivalence:
 
 
 class TestDeterministicEquivalence:
+    def test_streaming_frames_identical_and_ten_times_faster(
+            self, streaming_builder):
+        """64/256/512-pixel streaming frames: identical cycle counts at
+        every size, and the event-driven skip-ahead beats the reference
+        loop >= 10x on the medium (256) frame."""
+        speedups = {}
+        for size in (64, 256, 512):
+            design = streaming_builder(size, fractional_mid=False)
+            parts = (design.graph, design.system, design.mapping)
+            started = time.perf_counter()
+            reference = _cycle_accurate_reference(*parts)
+            reference_s = time.perf_counter() - started
+            started = time.perf_counter()
+            event = cycle_accurate_latency(*parts)
+            event_s = time.perf_counter() - started
+            assert event == reference, size
+            speedups[size] = reference_s / event_s
+        assert speedups[256] >= 10.0
+
     def test_fig5_bit_identical(self):
         graph = StageGraph(build_fig5_stages())
         system = build_fig5_system()

@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.api.diskcache import (
 )
 from repro.api.result import SimResult
 from repro.exceptions import SerializationError, TimingError
+from repro.explore import choice, explore, product
 from repro.usecases import UseCaseConfig, build_rhythmic
 from repro.usecases.fig5 import build_fig5_design
 
@@ -209,6 +211,40 @@ class TestSimulatorDiskTier:
             stats = warm.last_batch_stats
             assert stats.cache_hits == len(designs)
             assert stats.workers_used == 0
+
+    def test_fresh_session_replays_an_expensive_explore_from_disk(
+            self, tmp_path, streaming_builder):
+        """104 cycle-exact points (13 designs x 8 rates) re-served from
+        ``cache_dir`` by a fresh session: identical points, every one a
+        disk hit, at >= 5x the cold wall time."""
+        space = product(choice("size", list(range(32, 45))),
+                        choice("options.frame_rate",
+                               [10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0,
+                                45.0]))
+
+        def explore_once():
+            with Simulator(SimOptions(cycle_accurate=True),
+                           cache_dir=tmp_path) as session:
+                started = time.perf_counter()
+                result = explore(space, streaming_builder,
+                                 objectives=("energy_per_frame",),
+                                 simulator=session, annotate=False)
+                elapsed = time.perf_counter() - started
+                return result, elapsed, session.cache_info()
+
+        def energies(result):
+            return [(tuple(sorted(point.params.items())),
+                     point.metrics.get("energy_per_frame"))
+                    for point in result.points]
+
+        cold, cold_s, _ = explore_once()
+        warm, warm_s, warm_info = explore_once()
+        assert len(cold.points) == 13 * 8
+        assert cold.infeasible_points == []
+        assert energies(warm) == energies(cold)
+        assert warm_info.disk_hits == len(warm.points)
+        assert warm_info.disk_entries == len(warm.points)
+        assert cold_s / warm_s >= 5.0
 
     def test_cache_false_disables_the_disk_tier(self, tmp_path):
         session = Simulator(cache=False, cache_dir=tmp_path)

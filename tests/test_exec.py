@@ -29,6 +29,7 @@ from repro.exec.distributed import DistributedExecutor
 from repro.exec.queue import WorkQueue
 from repro.resilience import QUARANTINE_THRESHOLD
 from repro.serve import BackgroundServer
+from repro.usecases import UseCaseConfig, build_rhythmic
 from repro.usecases.fig5 import build_fig5_design
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -131,6 +132,31 @@ class TestBackendEquivalence:
             stats = session.last_batch_stats
         assert all(result.ok for result in results)
         assert stats.workers_used == 1
+
+    def test_session_reuses_its_process_pool(self):
+        """Five uncached process-mode batches through one session (warm
+        workers) beat a fresh session per batch by >= 1.5x."""
+        items = [(design, SimOptions(frame_rate=rate))
+                 for design in (build_fig5_design(),
+                                build_rhythmic(UseCaseConfig("2D-In", 65)))
+                 for rate in (20.0, 30.0, 40.0)]
+
+        def batch(session):
+            assert all(result.ok for result in session.run_many(items))
+
+        started = time.perf_counter()
+        for _ in range(5):
+            with Simulator(cache=False, executor="process",
+                           max_workers=2) as session:
+                batch(session)
+        fresh_s = time.perf_counter() - started
+        started = time.perf_counter()
+        with Simulator(cache=False, executor="process",
+                       max_workers=2) as session:
+            for _ in range(5):
+                batch(session)
+        reused_s = time.perf_counter() - started
+        assert fresh_s / reused_s >= 1.5
 
 
 # --- the lease-based work queue ---------------------------------------------

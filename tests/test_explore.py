@@ -1,6 +1,7 @@
 """Tests for the unified design-space exploration engine."""
 
 import json
+import time
 
 import pytest
 
@@ -325,6 +326,38 @@ class TestEngine:
                 build_fig5_design, objectives=("energy_per_frame",),
                 simulator=simulator, annotate=False)
         assert simulator.cache_info().hits >= 2
+
+    def test_warm_object_explore_is_cache_served(self):
+        """A 256-point Ed-Gaze replay on one session: the same document,
+        every unique key a hit, no pool touched, and no slower than the
+        cold pass beyond 0.25 s of noise.  The object engine keeps this
+        on the per-point path."""
+        space = product(
+            choice("placement", ["2D-In", "2D-Off", "3D-In", "3D-In-STT"]),
+            choice("cis_node", [130, 65]),
+            # Every Ed-Gaze design fits its pipeline below ~509 FPS.
+            linspace("options.frame_rate", 15.0, 480.0, 32))
+        objectives = ("energy_per_frame", "power_density", "latency")
+        with Simulator() as simulator:
+            started = time.perf_counter()
+            cold = explore(space, "edgaze", objectives=objectives,
+                           simulator=simulator, engine="object")
+            cold_s = time.perf_counter() - started
+            started = time.perf_counter()
+            warm = explore(space, "edgaze", objectives=objectives,
+                           simulator=simulator, engine="object")
+            warm_s = time.perf_counter() - started
+            warm_stats = simulator.last_batch_stats
+
+        assert len(cold.points) == len(space)
+        assert len(cold.feasible_points) == len(space)
+        assert len(cold.frontier()) >= 1
+        assert all(point.bottleneck is not None
+                   for point in cold.feasible_points)
+        assert warm.to_json() == cold.to_json()
+        assert warm_stats.cache_hits == warm_stats.unique
+        assert warm_stats.workers_used == 0
+        assert warm_s <= cold_s + 0.25
 
     def test_annotation_attaches_bottleneck(self):
         result = explore(choice("options.frame_rate", [30.0]),

@@ -4,20 +4,79 @@ The headline quantities the README reports for the paper's results
 (PAPER.md: Fig. 7 validation, Fig. 9/11 use-case totals), pinned with
 tolerances.  A model change that silently shifts a reproduced result
 beyond its band fails here before it corrupts the documented record.
+
+The bands check agreement with the paper; ``golden_digests.json`` pins
+the exact bits of every report (see :func:`test_report_digest`).
 """
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
 from repro import units
+from repro.api import Simulator, build_usecase
 from repro.energy.report import Category
 from repro.usecases import (
     UseCaseConfig,
+    edgaze_configs,
+    rhythmic_configs,
     run_edgaze,
     run_edgaze_mixed,
     run_rhythmic,
 )
 from repro.usecases.fig5 import run_fig5
-from repro.validation import run_validation
+from repro.validation import ALL_CHIPS, run_chip, run_validation
+
+_DIGESTS = Path(__file__).with_name("golden_digests.json")
+
+
+def _usecase_report(name, **params):
+    with Simulator(cache=False) as simulator:
+        return simulator.run(build_usecase(name, **params)).unwrap()
+
+
+def _golden_reports():
+    """Name -> runner of every registered usecase's paper configurations
+    (Fig. 5 among them) and of the nine Table 2 chips' validation
+    reports."""
+    grids = {
+        "fig5": [{}],
+        "rhythmic": [{"placement": c.placement, "cis_node": c.cis_node}
+                     for c in rhythmic_configs()],
+        "edgaze": [{"placement": c.placement, "cis_node": c.cis_node}
+                   for c in edgaze_configs()],
+        "edgaze_mixed": [{"cis_node": 130}, {"cis_node": 65}],
+        "threelayer": [{}],
+    }
+    reports = {}
+    for name, grid in grids.items():
+        for params in grid:
+            label = " ".join([name] + [f"{key}={value}" for key, value
+                                       in sorted(params.items())])
+            reports[label] = (
+                lambda name=name, params=params:
+                    _usecase_report(name, **params))
+    for chip in ALL_CHIPS:
+        reports[f"chip {chip.name}"] = (
+            lambda chip=chip: run_chip(chip).report)
+    return reports
+
+
+_REPORTS = _golden_reports()
+
+
+@pytest.mark.parametrize("name", sorted(_REPORTS))
+def test_report_digest(name):
+    """SHA-256 of the report's canonical JSON (sorted keys, no spaces)
+    equals the recorded digest: any change to any bit of any energy,
+    delay or entry shows here.  Update ``golden_digests.json`` only in
+    a change meant to alter model output, and say so."""
+    canonical = json.dumps(_REPORTS[name]().to_dict(), sort_keys=True,
+                           separators=(",", ":"))
+    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    assert digest == json.loads(_DIGESTS.read_text())[name], digest
 
 
 class TestFig5Goldens:

@@ -6,8 +6,11 @@ batch-API refinements (shared-options process batches, accurate
 ``workers_used``).
 """
 
+import time
+
 import pytest
 
+from repro import simulate
 from repro.api import Design, SimOptions, Simulator
 from repro.analysis.sweep import sweep_frame_rate
 from repro.exceptions import SimulationError, StallError
@@ -16,6 +19,7 @@ from repro.sim.cycle_sim import DigitalTimeline, UnitActivity
 from repro.sim.mapping import Mapping
 from repro.sw.dag import StageGraph
 from repro.sw.stage import ProcessStage
+from repro.usecases import build_rhythmic, rhythmic_configs
 from repro.usecases.fig5 import (
     FIG5_MAPPING,
     build_fig5_design,
@@ -181,6 +185,35 @@ class TestBatchWorkers:
         assert all(r.ok for r in simulator.run_many(designs))
         assert all(r.cached for r in simulator.run_many(designs))
         assert simulator.last_batch_stats.workers_used == 0
+
+    def test_rhythmic_grid_batch_matches_and_keeps_pace(self):
+        """Fig. 9a's grid through ``run_many`` equals a sequential
+        ``simulate()`` loop, and the batch machinery never dominates:
+        a cold batch stays under 5x the loop plus 0.25 s of pool
+        startup (loose on purpose: both sides take milliseconds)."""
+        designs = [build_rhythmic(config) for config in rhythmic_configs()]
+        started = time.perf_counter()
+        sequential = [simulate(*design, frame_rate=30.0)
+                      for design in designs]
+        sequential_s = time.perf_counter() - started
+
+        with Simulator() as simulator:
+            started = time.perf_counter()
+            batched = simulator.run_many(designs)
+            batch_cold_s = time.perf_counter() - started
+            stats = simulator.last_batch_stats
+            warm = simulator.run_many(designs)
+            warm_stats = simulator.last_batch_stats
+
+        assert [r.design_name for r in batched] == [d.name for d in designs]
+        assert all(result.ok for result in batched)
+        for direct, result in zip(sequential, batched):
+            assert result.report.total_energy == direct.total_energy
+        assert all(result.cached for result in warm)
+        assert batch_cold_s < 5.0 * sequential_s + 0.25
+        assert stats.max_workers >= 2
+        assert warm_stats.cache_hits == len(designs)
+        assert warm_stats.workers_used == 0
 
     def test_inline_jobs_count_the_calling_thread(self):
         simulator = Simulator(executor="process", max_workers=2)

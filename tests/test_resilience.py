@@ -359,6 +359,37 @@ class TestExploreUnderFaults:
         reloaded = ExplorationResult.from_dict(document)
         assert reloaded.resilience["quarantined"] == 0
 
+    def test_kill_rate_costs_retries_not_answers(self, monkeypatch):
+        """40 points on a 4-worker pool, once clean and once with 10% of
+        first attempts killing their worker (seed 1234): >= 90% still
+        complete, with the clean run's metrics, and the plan really
+        kills (>= 1 pool rebuild)."""
+
+        def explore_once():
+            with Simulator(executor="process", max_workers=4,
+                           cache=False) as simulator:
+                return explore(
+                    choice("index", list(range(40))),
+                    lambda index=0: _named_fig5(f"res-{int(index):03d}"),
+                    objectives=["energy_per_frame"], simulator=simulator)
+
+        clean = explore_once()
+        assert all(point.feasible for point in clean.points)
+        assert clean.resilience["pool_rebuilds"] == 0
+        monkeypatch.setenv(FAULTS_ENV, json.dumps({"seed": 1234,
+                                                   "kill_rate": 0.10}))
+        reset_injector()
+        faulty = explore_once()
+        clean_metrics = {json.dumps(point.params): point.metrics
+                         for point in clean.points}
+        for point in faulty.points:
+            if point.feasible:
+                assert point.metrics == clean_metrics[
+                    json.dumps(point.params)]
+        completed = sum(1 for point in faulty.points if point.feasible)
+        assert completed / 40 >= 0.90
+        assert faulty.resilience["pool_rebuilds"] >= 1
+
 
 # --- graceful disk-cache degradation ----------------------------------------
 

@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import threading
+import time
 
 import pytest
 
@@ -438,6 +439,33 @@ class TestMonteCarlo:
                         samples=6, seed=4, simulator=sim)
             assert sim.cache_info().hits >= cold_hits + 7
 
+    def test_warm_replay_is_three_times_faster(self, edgaze_design):
+        """A 256-sample Ed-Gaze study replayed on its session: every
+        sample accounted for, the same document, every unique key a
+        hit, and >= 3x the cold throughput."""
+
+        def study(simulator):
+            return monte_carlo(edgaze_design, default_variation(),
+                               samples=256, seed=7,
+                               metrics=["energy_per_frame",
+                                        "power_density", "latency"],
+                               simulator=simulator)
+
+        with Simulator() as simulator:
+            started = time.perf_counter()
+            cold = study(simulator)
+            cold_s = time.perf_counter() - started
+            started = time.perf_counter()
+            warm = study(simulator)
+            warm_s = time.perf_counter() - started
+            warm_stats = simulator.last_batch_stats
+
+        assert cold.accounting == {"total": 256, "ok": 256, "failed": 0}
+        assert cold.seed == 7 and cold.samples == 256
+        assert warm.to_json() == cold.to_json()
+        assert warm_stats.cache_hits == warm_stats.unique
+        assert cold_s / warm_s >= 3.0
+
     def test_round_trip(self, fig5_design):
         result = monte_carlo(fig5_design, SMALL_VARIATION,
                              samples=4, seed=1)
@@ -583,14 +611,16 @@ def test_extreme_corners_envelop_monte_carlo():
 class TestExploreRobust:
     def test_zero_variation_bit_identical_to_nominal(self):
         space = edgaze_space()
+        metrics = ["energy_per_frame", "power_density", "latency"]
         with Simulator() as sim:
-            nominal = explore(space, "edgaze", simulator=sim,
-                              engine="object")
-            zero = explore_robust(space, "edgaze",
-                                  variation=default_variation(0.0),
-                                  samples=3, seed=11, simulator=sim,
-                                  engine="object")
-        assert nominal.to_json() == zero.to_json()
+            for objectives, seed in (({}, 11), ({"objectives": metrics}, 7)):
+                nominal = explore(space, "edgaze", simulator=sim,
+                                  engine="object", **objectives)
+                zero = explore_robust(space, "edgaze", **objectives,
+                                      variation=default_variation(0.0),
+                                      samples=3, seed=seed, simulator=sim,
+                                      engine="object")
+                assert nominal.to_json() == zero.to_json(), seed
 
     def test_statistics_shift_ranking_values(self):
         space = edgaze_space()

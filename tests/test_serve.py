@@ -353,9 +353,17 @@ class TestErrorResponses:
         assert excinfo.value.status == 400
         assert excinfo.value.error_type == "SerializationError"
 
-    def test_malformed_run_spec(self, client):
+    @pytest.mark.parametrize("overrides", [
+        None, {"stages": 5}, {"stages": "x"}, {"system": []},
+        {"mapping": "x"}, {"name": 5}, {"name": []}],
+        ids=["nonsense", "stages-int", "stages-str", "system-list",
+             "mapping-str", "name-int", "name-list"])
+    def test_malformed_run_spec(self, client, overrides):
+        """A malformed ``repro.design/1`` body is a typed 400, not a 500."""
+        spec = {"nonsense": True} if overrides is None else {
+            **build_usecase("fig5").to_dict(), **overrides}
         with pytest.raises(ServeError) as excinfo:
-            client.submit({"nonsense": True})
+            client.submit(spec)
         assert excinfo.value.status == 400
         assert excinfo.value.error_type == "SerializationError"
 
@@ -489,6 +497,62 @@ class TestConcurrentClients:
             stats = background.client().stats()
             assert stats["cache"]["hits"] >= 2 * len(rates)
             assert stats["jobs"]["done"] == 3
+
+
+class TestWarmSubmitSpeedup:
+    def test_warm_submits_are_three_times_faster(self, streaming_builder):
+        """The daemon's pitch, over real HTTP: a resubmitted cycle-exact
+        exploration (4 designs x 3 rates) is served from the shared
+        session cache, with the cold job's metrics, at >= 3x the cold
+        submit-to-done time; so is every job of a 16-job warm burst."""
+        from repro.api import registry
+
+        spec = {
+            "schema": "repro.explore-spec/1",
+            "name": "serve-warm",
+            "usecase": "serve-test-streaming",
+            "space": {"product": [
+                {"name": "size", "values": [32, 33, 34, 35]},
+                {"name": "options.frame_rate",
+                 "values": [10.0, 20.0, 30.0]},
+            ]},
+            "objectives": ["energy_per_frame"],
+            "options": {"cycle_accurate": True},
+        }
+        total = 12
+        register_usecase("serve-test-streaming", streaming_builder)
+        try:
+            with BackgroundServer(workers=2, chunk_size=4) as server, \
+                    server.client(timeout=120.0) as client:
+
+                def submit_and_wait():
+                    started = time.perf_counter()
+                    job = client.submit(spec)
+                    # Fast polling: the warm side must measure cache
+                    # latency, not poll lag.
+                    done = client.wait(job["id"], timeout=600.0,
+                                       poll_s=0.01)
+                    assert done["state"] == "done", done
+                    return done, time.perf_counter() - started
+
+                cold, cold_s = submit_and_wait()
+                assert cold["progress"] == {"total": total,
+                                            "completed": total,
+                                            "cache_hits": 0}
+                warm, warm_s = submit_and_wait()
+                assert warm["progress"]["cache_hits"] == total
+                cold_points = client.result(cold["id"])["result"]["points"]
+                warm_points = client.result(warm["id"])["result"]["points"]
+                assert [point["metrics"] for point in warm_points] \
+                    == [point["metrics"] for point in cold_points]
+                for job_id in [client.submit(spec)["id"]
+                               for _ in range(16)]:
+                    done = client.wait(job_id, timeout=600.0, poll_s=0.01)
+                    assert done["state"] == "done"
+                    assert done["progress"]["cache_hits"] == total
+        finally:
+            registry._REGISTRY.pop("serve-test-streaming", None)
+        assert cold_s / warm_s >= 3.0
 
 
 class TestGracefulShutdown:

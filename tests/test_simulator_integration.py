@@ -51,6 +51,16 @@ class TestFig5EndToEnd:
                           frame_rate=30)
         assert 3 * report.analog_stage_delay + report.digital_latency \
             == pytest.approx(report.frame_time)
+        assert abs(3 * report.analog_stage_delay + report.digital_latency
+                   - report.frame_time) < 1e-12
+
+    def test_more_exposure_slots_shrink_analog_delay(self):
+        """Sec. 4.1's delay split: each extra analog slot squeezes T_A."""
+        delays = [simulate(build_fig5_stages(), build_fig5_system(),
+                           dict(FIG5_MAPPING), frame_rate=30,
+                           exposure_slots=slots).analog_stage_delay
+                  for slots in (0, 1, 2)]
+        assert delays[0] > delays[1] > delays[2]
 
     def test_higher_fps_increases_analog_energy(self, fig5_stages,
                                                 fig5_system, fig5_mapping):

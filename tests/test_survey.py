@@ -41,6 +41,9 @@ class TestFig1Counts:
         late = sum(r["computational"] + r["stacked_computational"]
                    for r in rows[-5:]) / 5
         assert late > 2 * early
+        first, last = rows[0], rows[-1]
+        assert (last["computational"] + last["stacked_computational"]
+                > first["computational"] + first["stacked_computational"])
 
     def test_stacked_designs_emerge_late(self):
         rows = percentages_by_year()
@@ -64,6 +67,7 @@ class TestFig3Scaling:
         node_slope, _ = cis_node_trend()
         pitch_slope, _ = pixel_pitch_trend()
         assert node_slope == pytest.approx(pitch_slope, rel=0.25)
+        assert abs(node_slope - pitch_slope) < 0.25 * abs(node_slope)
 
     def test_irds_lookup(self):
         assert irds_node(2000) == 180

@@ -7,6 +7,7 @@ from repro.area import power_density
 from repro.area.model import CPU_POWER_DENSITY, GPU_POWER_DENSITY
 from repro.energy.report import Category
 from repro.exceptions import ConfigurationError
+from repro.sim.simulator import simulate
 from repro.usecases import (
     UseCaseConfig,
     build_edgaze,
@@ -33,6 +34,21 @@ def edgaze():
 @pytest.fixture(scope="module")
 def edgaze_mixed():
     return {node: run_edgaze_mixed(node) for node in (130, 65)}
+
+
+@pytest.fixture(scope="module")
+def densities():
+    """Table 3's grid: power density per (workload, node, placement)."""
+    grid = {}
+    for workload, build, run in (("Rhythmic", build_rhythmic, run_rhythmic),
+                                 ("Ed-Gaze", build_edgaze, run_edgaze)):
+        for node in (130, 65):
+            for placement in ("2D-Off", "2D-In", "3D-In"):
+                config = UseCaseConfig(placement, node)
+                _, system, _ = build(config)
+                grid[(workload, node, placement)] = power_density(
+                    system, run(config))
+    return grid
 
 
 class TestConfigGrid:
@@ -96,11 +112,31 @@ class TestFig9aRhythmic:
             savings.append(1.0 - stacked / base)
         average = sum(savings) / len(savings)
         assert 0.05 < average < 0.35
+        assert all(saving > 0 for saving in savings)
 
     def test_utsv_cost_insignificant(self, rhythmic):
         report = rhythmic["3D-In (65nm)"]
         assert report.category_energy(Category.UTSV) \
             < 0.05 * report.total_energy
+
+    def test_roi_compression_sets_the_crossover(self):
+        """Ablation: in-sensor pays only while the encoder removes data.
+
+        The 2D-In saving shrinks as the ROI stage keeps more of the
+        frame, and turns negative when it keeps everything.
+        """
+        off = run_rhythmic(UseCaseConfig("2D-Off", 130)).total_energy
+        savings = {}
+        for compression in (0.25, 0.5, 0.75, 1.0):
+            stages, system, mapping = build_rhythmic(
+                UseCaseConfig("2D-In", 130))
+            stages[1].output_compression = compression
+            report = simulate(stages, system, mapping, frame_rate=30)
+            savings[compression] = 1 - report.total_energy / off
+        ordered = [savings[c] for c in sorted(savings)]
+        assert ordered == sorted(ordered, reverse=True)
+        assert savings[0.25] > 0
+        assert savings[1.0] < 0
 
 
 class TestFig9bEdGaze:
@@ -151,6 +187,22 @@ class TestFig9bEdGaze:
         _, system, _ = build_edgaze(UseCaseConfig("2D-In", 65))
         assert system.find_unit("FrameBuffer").duty_alpha == 1.0
 
+    def test_65nm_anomaly_needs_the_ungated_buffer(self):
+        """Ablation: 65 nm 2D-In loses to 130 nm only while the frame
+        and DNN buffers cannot be power-gated (duty 1.0); at duty 0.1
+        the newer node wins again."""
+
+        def total(node, duty_alpha):
+            stages, system, mapping = build_edgaze(
+                UseCaseConfig("2D-In", node))
+            system.find_unit("FrameBuffer").duty_alpha = duty_alpha
+            system.find_unit("DNNBuffer").duty_alpha = duty_alpha
+            return simulate(stages, system, mapping,
+                            frame_rate=30).total_energy
+
+        assert total(65, 1.0) > total(130, 1.0)
+        assert total(65, 0.1) < total(130, 0.1)
+
 
 class TestFig11to13Mixed:
     """Finding 3, analog vs digital processing."""
@@ -179,6 +231,11 @@ class TestFig11to13Mixed:
             assert mixed_sen < digital_sen
 
     def test_mem_d_shrinks_most_at_65nm(self, edgaze, edgaze_mixed):
+        for node in (130, 65):
+            digital = edgaze[f"2D-In ({node}nm)"].category_energy(
+                Category.MEM_D)
+            assert edgaze_mixed[node].category_energy(Category.MEM_D) \
+                < digital
         digital = edgaze["2D-In (65nm)"].category_energy(Category.MEM_D)
         mixed = edgaze_mixed[65].category_energy(Category.MEM_D)
         assert mixed < 0.8 * digital
@@ -198,27 +255,23 @@ class TestFig11to13Mixed:
         assert first_two > stages["RoiDNN"]
 
     def test_fig13_memory_down_compute_up(self, edgaze, edgaze_mixed):
-        """First two stages: memory shrinks, compute slightly grows."""
-        digital = edgaze["2D-In (65nm)"]
-        mixed = edgaze_mixed[65]
-        digital_first_mem = sum(
-            e.energy for e in digital.entries
-            if e.stage in ("Downsample", "FrameSubtract", "Input")
-            and e.category in (Category.MEM_D, Category.MEM_A))
-        mixed_first_mem = sum(
-            e.energy for e in mixed.entries
-            if e.stage in ("Downsample", "FrameSubtract", "Input")
-            and e.category in (Category.MEM_D, Category.MEM_A))
-        digital_first_comp = sum(
-            e.energy for e in digital.entries
-            if e.stage in ("Downsample", "FrameSubtract")
-            and e.category in (Category.COMP_D, Category.COMP_A))
-        mixed_first_comp = sum(
-            e.energy for e in mixed.entries
-            if e.stage in ("Downsample", "FrameSubtract")
-            and e.category in (Category.COMP_D, Category.COMP_A))
-        assert mixed_first_mem < digital_first_mem
-        assert mixed_first_comp > digital_first_comp
+        """First two stages: memory and sensing shrink, compute slightly
+        grows (8-bit OpAmp precision, Eq. 6)."""
+
+        def first_stages(report, *categories):
+            return sum(e.energy for e in report.entries
+                       if e.stage in ("Input", "Downsample", "FrameSubtract")
+                       and e.category in categories)
+
+        for node in (130, 65):
+            digital = edgaze[f"2D-In ({node}nm)"]
+            mixed = edgaze_mixed[node]
+            assert first_stages(mixed, Category.MEM_D, Category.MEM_A) \
+                < first_stages(digital, Category.MEM_D, Category.MEM_A)
+            assert first_stages(mixed, Category.COMP_D, Category.COMP_A) \
+                > first_stages(digital, Category.COMP_D, Category.COMP_A)
+            assert first_stages(mixed, Category.SEN) \
+                < first_stages(digital, Category.SEN)
 
     def test_analog_path_has_analog_entries(self, edgaze_mixed):
         report = edgaze_mixed[65]
@@ -227,33 +280,25 @@ class TestFig11to13Mixed:
 
 
 class TestTable3PowerDensity:
-    def test_all_densities_far_below_cpu_gpu(self):
+    def test_all_densities_far_below_cpu_gpu(self, densities):
         """Sec. 6.2: three to four orders below CPU/GPU hotspots."""
-        for cfg in (UseCaseConfig("2D-In", 65), UseCaseConfig("3D-In", 65)):
-            stages, system, mapping = build_edgaze(cfg)
-            report = run_edgaze(cfg)
-            density = power_density(system, report)
+        for density in densities.values():
             assert density < 0.05 * GPU_POWER_DENSITY
             assert density < 0.02 * CPU_POWER_DENSITY
 
-    def test_rhythmic_density_insensitive_to_stacking(self):
+    def test_rhythmic_density_insensitive_to_stacking(self, densities):
         """Paper: communication-dominant Rhythmic shows no significant
         density difference across variants."""
-        densities = {}
-        for placement in ("2D-Off", "3D-In"):
-            cfg = UseCaseConfig(placement, 130)
-            _, system, _ = build_rhythmic(cfg)
-            densities[placement] = power_density(system, run_rhythmic(cfg))
-        ratio = densities["3D-In"] / densities["2D-Off"]
+        ratio = (densities[("Rhythmic", 130, "3D-In")]
+                 / densities[("Rhythmic", 130, "2D-Off")])
         assert 0.5 < ratio < 2.0
+        at_130 = [densities[("Rhythmic", 130, placement)]
+                  for placement in ("2D-Off", "2D-In", "3D-In")]
+        assert max(at_130) < 4 * min(at_130)
 
-    def test_edgaze_65nm_2d_in_density_highest(self):
+    def test_edgaze_65nm_2d_in_density_highest(self, densities):
         """Paper Table 3 (65/22): 2D-In 2.24 beats 3D-In 0.70 because of
-        65 nm leakage."""
-        densities = {}
-        for placement in ("2D-Off", "2D-In", "3D-In"):
-            cfg = UseCaseConfig(placement, 65)
-            _, system, _ = build_edgaze(cfg)
-            densities[placement] = power_density(system, run_edgaze(cfg))
-        assert densities["2D-In"] > densities["3D-In"]
-        assert densities["2D-In"] > densities["2D-Off"]
+        65 nm leakage, and both exceed 2D-Off's 0.11."""
+        grid = {placement: densities[("Ed-Gaze", 65, placement)]
+                for placement in ("2D-Off", "2D-In", "3D-In")}
+        assert grid["2D-In"] > grid["3D-In"] > grid["2D-Off"]

@@ -4,6 +4,9 @@ import pytest
 
 from repro import units
 from repro.energy.report import Category
+from repro.hw.analog.components import ColumnADC
+from repro.hw.interface import Interface
+from repro.sim.simulator import simulate
 from repro.validation import (
     ALL_CHIPS,
     chip_by_name,
@@ -42,6 +45,8 @@ class TestChipRegistry:
     def test_stacked_chips_present(self):
         stacked = [c for c in ALL_CHIPS if "/" in c.process_node]
         assert len(stacked) == 2  # ISSCC'21 and VLSI'21
+        assert sum(1 for chip in ALL_CHIPS
+                   if chip.build()[1].is_stacked) == 2
 
 
 class TestHeadlineMetrics:
@@ -87,6 +92,28 @@ class TestKnownChipFacts:
             result = [r for r in summary.results
                       if r.chip.name == name][0]
             assert result.report.digital_energy == 0.0, name
+        # Table 2 spans analog-only and digital-capable chips.
+        compute_units = [len(chip.build()[1].compute_units)
+                         for chip in ALL_CHIPS]
+        assert 0 in compute_units
+        assert max(compute_units) > 0
+
+    def test_fom_survey_adc_differs_from_explicit(self):
+        """Ablation of the Fig. 7g/7h mismatch: swapping JSSC'21-II's
+        calibrated ADC energy for the FoM-survey ColumnADC changes the
+        estimate materially but keeps its order of magnitude."""
+        chip = chip_by_name("JSSC'21-II")
+        explicit = chip.simulate()
+        stages, system, mapping = chip.build()
+        adc_array = system.find_unit("ADCArray")
+        adc_array._entries = []
+        adc_array.add_component(ColumnADC(bits=10), (1, 320))
+        system.set_offchip_interface(Interface("pads", 0.0))
+        fom_based = simulate(stages, system, mapping,
+                             frame_rate=chip.frame_rate)
+        ratio = (fom_based.energy_per_pixel(chip.num_pixels)
+                 / explicit.energy_per_pixel(chip.num_pixels))
+        assert 0.1 < ratio < 1.0
 
     def test_stacked_chips_pay_utsv(self, summary):
         for name in ("ISSCC'21", "VLSI'21"):
