@@ -195,6 +195,19 @@ class Design:
                                        self._mapping, name=self._name)
 
     @classmethod
+    def _with_content_hash(cls, content_hash: str, *args: Any,
+                           **kwargs: Any) -> "Design":
+        """A design whose canonical form is known to hash to
+        ``content_hash``, so :attr:`content_hash` never re-encodes it.
+
+        For derived designs whose hash is cheaper to compute from their
+        parent's canonical form (perturbed Monte Carlo samples).
+        """
+        design = cls(*args, **kwargs)
+        object.__setattr__(design, "_hash_cache", content_hash)
+        return design
+
+    @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "Design":
         """Inverse of :meth:`to_dict`."""
         graph, system, mapping, name = serialize.decode_design_parts(payload)

@@ -561,14 +561,19 @@ def decode_design_parts(payload: Dict[str, Any]):
         stages = decode_stages(payload["stages"])
         system = decode_system(payload["system"])
         mapping = Mapping(payload["mapping"])
+        # Validate here (fail fast) and hand the graph on so Design need
+        # not rebuild it.
+        graph = StageGraph(stages)
     except KeyError as error:
         raise SerializationError(
             f"malformed design payload: missing key {error}") from error
+    except (TypeError, ValueError, AttributeError) as error:
+        # A nested entry of the wrong JSON type (a memory that is a
+        # number, a kernel that is a string, ...).
+        raise SerializationError(
+            f"malformed design payload: {error}") from error
     name = payload.get("name", system.name)
     if not isinstance(name, str):
         raise SerializationError(
             "malformed design payload: 'name' must be a string")
-    # Validate here (fail fast) and hand the graph on so Design need not
-    # rebuild it.
-    graph = StageGraph(stages)
     return graph, system, mapping, name

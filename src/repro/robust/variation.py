@@ -21,6 +21,15 @@ untouched.  An all-ones factor set short-circuits to the original
 design object — the zero-variation ensemble is the nominal path, bit
 for bit.
 
+A sample's content hash is not re-encoded from the sample.  Each nominal
+is compiled once into a *canonical template*: its canonical JSON (the
+text :attr:`Design.content_hash` hashes) split at every leaf a
+parameter group writes.  A sample formats just those leaves — the
+nominal value times its groups' factors, in the order
+:func:`perturb_payload` multiplies them, written as the JSON encoder
+writes numbers — joins the pieces and hashes the bytes, which are the
+bytes a full re-encode would produce.
+
 Named PVT corners (:func:`corner_set`) compile the first-order physics
 of :mod:`repro.tech.corners` into the same parameter-group vocabulary,
 so ``corners()`` and ``monte_carlo()`` speak one language.
@@ -30,11 +39,14 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import math
+import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Tuple)
 
 from repro.api import serialize
 from repro.api.design import Design
@@ -152,6 +164,15 @@ def _check_params(params: Iterable[str], where: str) -> None:
             f"known: {sorted(PARAMETER_GROUPS)}")
 
 
+def _check_factors(factors: Mapping[str, float], where: str) -> None:
+    _check_params(factors, where)
+    for param, factor in factors.items():
+        if not isinstance(factor, (int, float)) or not math.isfinite(factor):
+            raise ConfigurationError(
+                f"{where}: factor[{param!r}] must be a finite number, "
+                f"got {factor!r}")
+
+
 #: The payload containers the appliers above write, as a copy plan: a
 #: dict names the keys whose values are copied in turn (the dict itself
 #: is copied shallowly), ``[plan]`` copies a list and each element by
@@ -183,15 +204,8 @@ def _copy_written(value: Any, plan: Any) -> Any:
     return copied
 
 
-def perturb_payload(payload: Dict[str, Any],
-                    factors: Mapping[str, float]) -> Dict[str, Any]:
-    """``payload`` with ``factors`` multiplied in, leaving it unchanged.
-
-    Only the containers a parameter group writes are copied; untouched
-    subtrees (stages, mapping, layers, wiring lists) are shared with the
-    input, so treat the result as read-only.
-    """
-    _check_params(factors, "perturb_payload")
+def _apply(payload: Dict[str, Any],
+           factors: Mapping[str, float]) -> Dict[str, Any]:
     perturbed = _copy_written(payload, _WRITTEN)
     system = perturbed.get("system", {})
     for param in sorted(factors):
@@ -201,6 +215,130 @@ def perturb_payload(payload: Dict[str, Any],
     return perturbed
 
 
+def perturb_payload(payload: Dict[str, Any],
+                    factors: Mapping[str, float]) -> Dict[str, Any]:
+    """``payload`` with ``factors`` multiplied in, leaving it unchanged.
+
+    Only the containers a parameter group writes are copied; untouched
+    subtrees (stages, mapping, layers, wiring lists) are shared with the
+    input, so treat the result as read-only.  Every factor must be a
+    finite number.
+    """
+    _check_factors(factors, "perturb_payload")
+    return _apply(payload, factors)
+
+
+# --- canonical templates ---------------------------------------------------
+
+class _Hole(float):
+    """A leaf the appliers scaled while a template compiled: its nominal
+    value and the groups that scaled it, in application order."""
+
+    __slots__ = ("base", "groups")
+
+    def __new__(cls, base: Any, groups: Tuple[str, ...]) -> "_Hole":
+        hole = super().__new__(cls, base)
+        hole.base, hole.groups = base, groups
+        return hole
+
+    def __mul__(self, factor: Any) -> Any:
+        # A second group scaling the same leaf.
+        return factor.__rmul__(self)
+
+
+class _Recorder(float):
+    """The factor a template compile hands one group's applier: each
+    leaf the applier multiplies by it becomes a :class:`_Hole`."""
+
+    __slots__ = ("group",)
+
+    def __new__(cls, group: str) -> "_Recorder":
+        recorder = super().__new__(cls, 1.0)
+        recorder.group = group
+        return recorder
+
+    def __rmul__(self, value: Any) -> Any:
+        if isinstance(value, _Hole):
+            return _Hole(value.base, value.groups + (self.group,))
+        if isinstance(value, (int, float)):
+            return _Hole(value, (self.group,))
+        return NotImplemented
+
+
+def _take_holes(node: Any, holes: List[_Hole]) -> None:
+    """Swap every hole under ``node`` for the string ``"\\x00<index>"``."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        if isinstance(value, _Hole):
+            node[key] = f"\x00{len(holes)}"
+            holes.append(value)
+        else:
+            _take_holes(value, holes)
+
+
+_HOLE_TEXT = re.compile(r'"\\u0000(\d+)"')
+
+#: ``(head, holes)``: the canonical JSON before the first hole, then per
+#: hole ``(nominal value, groups, nominal JSON text, JSON up to the next
+#: hole)``.
+_Template = Tuple[str, Tuple[Tuple[Any, Tuple[str, ...], str, str], ...]]
+
+
+def _compile_template(payload: Dict[str, Any]) -> Optional[_Template]:
+    """The canonical JSON of ``payload`` split at every leaf a parameter
+    group writes (``None`` if the payload's own strings mimic a hole).
+
+    The appliers run once, on a plan-copy, with a :class:`_Recorder` as
+    the factor, so they stay the one statement of what each group
+    writes; a leaf two groups scale records both, in sorted order.
+    """
+    marked = _copy_written(payload, _WRITTEN)
+    system = marked.get("system", {})
+    for group in sorted(PARAMETER_GROUPS):
+        PARAMETER_GROUPS[group](system, _Recorder(group))
+    holes: List[_Hole] = []
+    _take_holes(system, holes)
+    pieces = _HOLE_TEXT.split(json.dumps(marked, sort_keys=True,
+                                         separators=(",", ":")))
+    order = [int(index) for index in pieces[1::2]]
+    if sorted(order) != list(range(len(holes))):
+        return None
+    return pieces[0], tuple(
+        (holes[index].base, holes[index].groups,
+         json.dumps(holes[index].base), tail)
+        for index, tail in zip(order, pieces[2::2]))
+
+
+def _json_number(value: Any) -> str:
+    """``value`` as the JSON encoder writes it."""
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) \
+            else json.dumps(value)
+    return int.__repr__(value)
+
+
+def _template_hash(template: _Template,
+                   active: Mapping[str, float]) -> str:
+    """The content hash of the nominal scaled by ``active`` (factors
+    other than ``1.0``): the same products as :func:`perturb_payload`,
+    and a leaf no active group scales keeps its nominal text."""
+    head, holes = template
+    parts = [head]
+    for base, groups, nominal, tail in holes:
+        value, scaled = base, False
+        for group in groups:
+            if group in active:
+                value, scaled = value * active[group], True
+        parts.append(_json_number(value) if scaled else nominal)
+        parts.append(tail)
+    return hashlib.sha256("".join(parts).encode("utf-8")).hexdigest()
+
+
 #: Recently perturbed designs, keyed by (base content hash, applied
 #: factors).  Draws are pure in (seed, sample, param), so replaying a
 #: study regenerates the exact same factor sets — memoizing the decoded
@@ -208,26 +346,36 @@ def perturb_payload(payload: Dict[str, Any],
 #: and ride the result cache at full speed.
 _PERTURBED_LIMIT = 1024
 _perturbed_cache: "OrderedDict[Tuple[str, Tuple[Tuple[str, float], ...]], Design]" = OrderedDict()
-#: Recently perturbed base designs' payloads, keyed by content hash, so
-#: an ensemble encodes its nominal once rather than once per sample.
-#: Read-only: perturbed payloads share their untouched subtrees.
+#: Recently perturbed base designs' payloads and canonical templates,
+#: keyed by content hash, so an ensemble encodes and compiles its
+#: nominal once rather than once per sample.  Read-only: perturbed
+#: payloads share their untouched subtrees.
 _NOMINAL_LIMIT = 16
 _nominal_payloads: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+_templates: "OrderedDict[str, Optional[_Template]]" = OrderedDict()
 _perturbed_lock = threading.Lock()
+_MISSING = object()
+
+
+def _memoized(memo: "OrderedDict[Any, Any]", key: Any,
+              build: Callable[[], Any], limit: int) -> Any:
+    """``memo[key]``, built outside the lock on a miss; LRU-bounded."""
+    with _perturbed_lock:
+        value = memo.get(key, _MISSING)
+        if value is not _MISSING:
+            memo.move_to_end(key)
+            return value
+    value = build()
+    with _perturbed_lock:
+        memo[key] = value
+        while len(memo) > limit:
+            memo.popitem(last=False)
+    return value
 
 
 def _nominal_payload(design: Design, base_hash: str) -> Dict[str, Any]:
-    with _perturbed_lock:
-        payload = _nominal_payloads.get(base_hash)
-        if payload is not None:
-            _nominal_payloads.move_to_end(base_hash)
-            return payload
-    payload = design.to_dict()
-    with _perturbed_lock:
-        _nominal_payloads[base_hash] = payload
-        while len(_nominal_payloads) > _NOMINAL_LIMIT:
-            _nominal_payloads.popitem(last=False)
-    return payload
+    return _memoized(_nominal_payloads, base_hash, design.to_dict,
+                     _NOMINAL_LIMIT)
 
 
 def perturb_design(design: Design,
@@ -236,10 +384,14 @@ def perturb_design(design: Design,
     every factor is exactly ``1.0`` (the nominal path, bit for bit).
 
     Only the hardware system is re-decoded: the perturbed design shares
-    ``design``'s stage graph and mapping objects.  Perturbed designs are
-    memoized per (base design, factor set) — an ensemble replayed with
-    the same seed returns the same design objects, so the simulator's
-    content-hash cache serves it without re-decoding anything.
+    ``design``'s stage graph and mapping objects.  Its content hash is
+    set from the nominal's canonical template (see the module notes),
+    never by re-encoding the sample, and equals the hash a full
+    re-encode gives.  Perturbed designs are memoized per (base design,
+    factor set) — an ensemble replayed with the same seed returns the
+    same design objects, so the simulator's content-hash cache serves
+    it without re-decoding anything.  Every factor must be a finite
+    number.
     """
     active = tuple((param, factors[param]) for param in sorted(factors)
                    if factors[param] != 1.0)
@@ -248,21 +400,26 @@ def perturb_design(design: Design,
         return design
     # A design without a canonical form raises SerializationError here.
     base_hash = design.content_hash
-    key = (base_hash, active)
-    with _perturbed_lock:
-        cached = _perturbed_cache.get(key)
-        if cached is not None:
-            _perturbed_cache.move_to_end(key)
-            return cached
-    system = perturb_payload(_nominal_payload(design, base_hash),
-                             factors)["system"]
-    perturbed = Design(design.graph, serialize.decode_system(system),
-                       design.mapping, name=design.name)
-    with _perturbed_lock:
-        _perturbed_cache[key] = perturbed
-        while len(_perturbed_cache) > _PERTURBED_LIMIT:
-            _perturbed_cache.popitem(last=False)
-    return perturbed
+
+    def build() -> Design:
+        # Checked on a miss only: a factor set that fails is never
+        # memoized, so a hit was checked when it was built.
+        _check_factors(factors, "perturb_design")
+        payload = _nominal_payload(design, base_hash)
+        template = _memoized(_templates, base_hash,
+                             lambda: _compile_template(payload),
+                             _NOMINAL_LIMIT)
+        parts = (design.graph,
+                 serialize.decode_system(_apply(payload, factors)["system"]),
+                 design.mapping)
+        if template is None:
+            return Design(*parts, name=design.name)
+        return Design._with_content_hash(
+            _template_hash(template, dict(active)), *parts,
+            name=design.name)
+
+    return _memoized(_perturbed_cache, (base_hash, active), build,
+                     _PERTURBED_LIMIT)
 
 
 # --- deterministic draws ---------------------------------------------------
@@ -325,7 +482,7 @@ class VariationModel:
             raise ConfigurationError(
                 f"variation cutoff must be > 0, got {self.cutoff}")
         for param, sigma in self.sigma.items():
-            if not isinstance(sigma, (int, float)) or sigma < 0:
+            if not isinstance(sigma, (int, float)) or not sigma >= 0:
                 raise ConfigurationError(
                     f"sigma[{param!r}] must be a number >= 0, got {sigma!r}")
             if self.extent_of(float(sigma)) >= 1.0:
@@ -440,10 +597,11 @@ class Corner:
             raise ConfigurationError("corner name must be non-empty")
         _check_params(self.factors, f"corner {self.name!r}")
         for param, factor in self.factors.items():
-            if not isinstance(factor, (int, float)) or not factor > 0:
+            if not isinstance(factor, (int, float)) or not factor > 0 \
+                    or not math.isfinite(factor):
                 raise ConfigurationError(
                     f"corner {self.name!r}: factor[{param!r}] must be a "
-                    f"number > 0, got {factor!r}")
+                    f"finite number > 0, got {factor!r}")
         object.__setattr__(self, "factors",
                            {param: float(self.factors[param])
                             for param in sorted(self.factors)})

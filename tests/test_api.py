@@ -137,6 +137,32 @@ class TestDesignSerialization:
         with pytest.raises(SerializationError):
             Design.from_dict(payload)
 
+    @pytest.mark.parametrize("path, value", [
+        (("system", "memories"), [5]),
+        (("system", "compute_units"), ["x"]),
+        (("system", "analog_arrays"), [None]),
+        (("system", "layers"), [1]),
+        (("stages",), [3]),
+        (("stages", 1, "kernel"), "abc"),
+        (("system", "memories", 0, "size"), "zz"),
+        (("system", "pixel_array"), 3),
+        (("system", "offchip_interface"), []),
+        (("system", "analog_arrays", 0, "components", 0, "component",
+          "cells"), [1]),
+        (("system", "memories", 0, "read_energy_per_word"), "x"),
+    ], ids=["memories", "compute-units", "analog-arrays", "layers",
+            "stages", "kernel", "memory-size", "pixel-array",
+            "offchip-interface", "cells", "read-energy"])
+    def test_malformed_nested_entries_rejected(self, path, value):
+        payload = build_edgaze(UseCaseConfig("2D-In", 65)).to_dict()
+        container = payload
+        for step in path[:-1]:
+            container = container[step]
+        container[path[-1]] = value
+        with pytest.raises(SerializationError,
+                           match="malformed design payload"):
+            Design.from_dict(payload)
+
     def test_save_and_load(self, tmp_path):
         path = tmp_path / "fig5.json"
         design = build_fig5_design()

@@ -15,6 +15,7 @@ import os
 import sys
 import threading
 import time
+from collections import OrderedDict
 
 import pytest
 
@@ -131,6 +132,12 @@ class TestVariationModel:
         with pytest.raises(ConfigurationError, match="factor <= 0"):
             VariationModel(sigma={"memory.leakage_power": 0.5}, cutoff=3.0)
 
+    def test_nan_sigma_rejected(self):
+        # NaN slips past "< 0" and the extent bound, then draws NaN
+        # factors for every sample.
+        with pytest.raises(ConfigurationError, match=">= 0"):
+            VariationModel(sigma={"memory.leakage_power": math.nan})
+
     def test_bad_dist_rejected(self):
         with pytest.raises(ConfigurationError, match="dist"):
             VariationModel(sigma={}, dist="cauchy")
@@ -184,6 +191,14 @@ class TestPerturbation:
                                    {"memory.write_energy_per_word": 1.01})
         assert isinstance(perturbed, Design)
         assert perturbed.content_hash != fig5_design.content_hash
+
+    @pytest.mark.parametrize("factor", [math.inf, -math.inf, math.nan])
+    def test_non_finite_factor_rejected(self, fig5_design, factor):
+        factors = {"memory.leakage_power": factor}
+        with pytest.raises(ConfigurationError, match="finite"):
+            perturb_payload(fig5_design.to_dict(), factors)
+        with pytest.raises(ConfigurationError, match="finite"):
+            perturb_design(fig5_design, factors)
 
     def test_missing_groups_are_noops(self, fig5_design):
         # fig5 has no single-slope ADC; the draw applies to nothing.
@@ -338,6 +353,89 @@ class TestCopyOnWritePerturbation:
             assert passes[name] == 65, (name, passes)
 
 
+    def test_sample_hashes_never_re_encode_the_sample(self, monkeypatch):
+        # A sample's hash comes from the nominal's canonical template; a
+        # fall-back to Design.to_dict() for any sample fails here.
+        design = build_usecase("edgaze", placement="2D-In", cis_node=65)
+        work = [default_variation().factors(605_177, sample)
+                for sample in range(1, 65)]
+        expected = [_round_trip_perturb(design, factors).content_hash
+                    for factors in work]
+        variation_module._nominal_payload(design, design.content_hash)
+
+        def refuse(self):
+            raise AssertionError("a perturbed sample re-encoded itself")
+        monkeypatch.setattr(Design, "to_dict", refuse)
+        assert [perturb_design(design, factors).content_hash
+                for factors in work] == expected
+
+    @pytest.mark.parametrize("build", [build for _, build in DESIGN_BUILDS],
+                             ids=[label for label, _ in DESIGN_BUILDS])
+    def test_template_reproduces_the_nominal_hash(self, build):
+        design = build()
+        template = variation_module._compile_template(
+            variation_module._nominal_payload(design, design.content_hash))
+        assert variation_module._template_hash(template, {}) == \
+            design.content_hash
+
+    def test_leaf_scaled_by_two_groups(self, monkeypatch):
+        # No stock leaf belongs to two groups.  An extra group that
+        # re-scales memory leakage must put both on one hole and
+        # multiply them in sorted-parameter order, like the appliers;
+        # an int factor keeps the encoder's number formatting honest.
+        monkeypatch.setitem(
+            PARAMETER_GROUPS, "memory.leakage_power_again",
+            lambda system, factor: variation_module._memories(
+                system, "leakage_power", factor))
+        monkeypatch.setattr(variation_module, "_templates", OrderedDict())
+        monkeypatch.setattr(variation_module, "_perturbed_cache",
+                            OrderedDict())
+        design = build_usecase("rhythmic")
+        leakage = design.to_dict()["system"]["memories"][0]["leakage_power"]
+        assert leakage * 1.07 * 1.13 != leakage * 1.13 * 1.07  # order shows
+        for factors in ({"memory.leakage_power": 1.07,
+                         "memory.leakage_power_again": 1.13},
+                        {"memory.leakage_power_again": 3},
+                        {"memory.leakage_power": 1.3,
+                         "compute.clock_hz": 2}):
+            assert perturb_design(design, factors).content_hash == \
+                _round_trip_perturb(design, factors).content_hash, factors
+
+    def test_overflowing_leaf_hashes_like_the_encoder(self):
+        # Finite factors can still overflow a leaf to inf, which JSON
+        # writes as "Infinity", not float.__repr__'s "inf".
+        design = build_usecase("rhythmic")
+        factors = {"compute.clock_hz": 1e300}
+        assert "Infinity" in perturb_design(design, factors).to_json()
+        assert perturb_design(design, factors).content_hash == \
+            _round_trip_perturb(design, factors).content_hash
+
+    def test_hole_lookalike_strings_fall_back_to_encoding(self):
+        # A payload string that reads like a template hole cannot be
+        # told apart from one; such a nominal compiles to no template
+        # and its samples hash by encoding.
+        design = Design(*build_usecase("fig5"), name="\x000")
+        factors = {"memory.leakage_power": 1.1}
+        assert variation_module._compile_template(design.to_dict()) is None
+        assert perturb_design(design, factors).content_hash == \
+            _round_trip_perturb(design, factors).content_hash
+
+    def test_template_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(variation_module, "_templates", OrderedDict())
+        limit = variation_module._NOMINAL_LIMIT
+        base = build_usecase("fig5")
+        designs = [Design(base.graph, base.system, base.mapping,
+                          name=f"fig5-{index}")
+                   for index in range(limit + 4)]
+        for design in designs:
+            perturb_design(design, {"memory.leakage_power": 1.01})
+        memo = variation_module._templates
+        assert len(memo) == limit
+        assert list(memo) == [design.content_hash
+                              for design in designs[-limit:]]
+        assert len(variation_module._nominal_payloads) <= limit
+
+
 # --- corners ---------------------------------------------------------------
 
 class TestCorners:
@@ -373,6 +471,13 @@ class TestCorners:
             Corner("bad", {"memory.leakage_power": 0.0})
         with pytest.raises(ConfigurationError):
             Corner("bad", {"memory.wat": 1.1})
+
+    @pytest.mark.parametrize("factor", [math.inf, math.nan])
+    def test_non_finite_corner_factor_rejected(self, factor):
+        # An infinite corner used to come back "feasible" with an
+        # infinite energy and a document json cannot write strictly.
+        with pytest.raises(ConfigurationError, match="finite"):
+            Corner("bad", {"memory.leakage_power": factor})
 
 
 # --- distributions ---------------------------------------------------------
@@ -733,6 +838,13 @@ class TestRobustSpec:
         with pytest.raises(SerializationError, match="variation"):
             robust_spec_from_dict(payload)
 
+    def test_infinite_corner_factor_rejected(self):
+        payload = json.loads(
+            '{"kind": "corners", "usecase": "fig5", "corners": [{"name": '
+            '"x", "factors": {"memory.leakage_power": Infinity}}]}')
+        with pytest.raises(ConfigurationError, match="finite"):
+            robust_spec_from_dict(payload)
+
     def test_inline_design_payload(self, fig5_design):
         payload = _mc_spec_payload()
         del payload["usecase"]
@@ -848,3 +960,16 @@ class TestServeRobustJobs:
             bad["variation"] = {"sigma": {"memory.wat": 0.1}}
             with pytest.raises(ServeError):
                 client.submit(bad)
+
+    def test_infinite_corner_factor_is_typed_400(self):
+        from repro.serve.app import BackgroundServer
+        from repro.serve.client import ServeError
+        with BackgroundServer(workers=1) as server:
+            client = server.client()
+            with pytest.raises(ServeError) as excinfo:
+                client.submit({"kind": "corners", "usecase": "fig5",
+                               "corners": [{"name": "x", "factors": {
+                                   "memory.leakage_power": math.inf}}]},
+                              kind="robust")
+            assert excinfo.value.status == 400
+            assert excinfo.value.error_type == "ConfigurationError"

@@ -367,6 +367,15 @@ class TestErrorResponses:
         assert excinfo.value.status == 400
         assert excinfo.value.error_type == "SerializationError"
 
+    def test_malformed_nested_design_entry(self, client):
+        spec = build_usecase("fig5").to_dict()
+        spec["system"]["memories"] = [5]
+        with pytest.raises(ServeError) as excinfo:
+            client.submit(spec)
+        assert excinfo.value.status == 400
+        assert excinfo.value.error_type == "SerializationError"
+        assert "malformed design payload" in excinfo.value.message
+
     def test_bad_options_in_run_spec(self, client):
         with pytest.raises(ServeError) as excinfo:
             client.submit({"design": {"usecase": "fig5"}, "options": 5})
