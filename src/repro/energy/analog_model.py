@@ -9,14 +9,14 @@ along the analog wiring.
 
 :func:`analog_energy` works on the usages :func:`analog_usage` produced,
 which the engine memoizes per design, and on one stage delay or a
-per-point column of them (the explore fast path passes the lowered
-kernels of :mod:`repro.hw.analog.vector` for the latter).
+per-point column of them (the explore fast path passes the latter; the
+stock cell, component and array models evaluate it element-wise).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # avoid a runtime cycle with repro.sim
     from repro.sim.mapping import Mapping
@@ -116,15 +116,13 @@ def analog_usage(graph: StageGraph, system: SensorSystem,
             if a.name in usages]
 
 
-def analog_energy(usages: List[ArrayUsage], analog_stage_delay, *,
-                  kernels: Optional[Dict[str, Callable]] = None
+def analog_energy(usages: List[ArrayUsage], analog_stage_delay
                   ) -> List[EnergyEntry]:
     """Per-component analog energy entries for one frame (Eq. 2).
 
-    ``analog_stage_delay`` is one delay, or a per-point column when
-    ``kernels`` maps each array name to its lowered ``energy_breakdown``
-    (:func:`repro.hw.analog.vector.lower_array`); without ``kernels``
-    each array's own :meth:`~AnalogArray.energy_breakdown` is used.
+    ``analog_stage_delay`` is one delay, or a per-point column
+    (:mod:`repro.columns`) that each array's
+    :meth:`~AnalogArray.energy_breakdown` evaluates element-wise.
     """
     entries: List[EnergyEntry] = []
     for usage in usages:
@@ -132,9 +130,7 @@ def analog_energy(usages: List[ArrayUsage], analog_stage_delay, *,
         if usage.ops <= 0:
             continue
         category = _CATEGORY_BY_ARRAY[array.category]
-        breakdown = (array.energy_breakdown if kernels is None
-                     else kernels[array.name])
-        for component_name, energy in breakdown(
+        for component_name, energy in array.energy_breakdown(
                 usage.ops, analog_stage_delay).items():
             entries.append(EnergyEntry(
                 name=f"{array.name}/{component_name}",

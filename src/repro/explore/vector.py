@@ -7,15 +7,16 @@ stage graph, mapping, and hardware but differ only in
 such point through the full engine; this module evaluates a whole group
 at once:
 
-1. the design is *lowered* once into per-component energy kernels
-   (:mod:`repro.hw.analog.vector`), memoized per content hash;
+1. the design is screened once, memoized per content hash: only the
+   stock analog array, component and cell types, and the stock memory
+   leakage, are known to accept a column of delays;
 2. the design-only passes (timeline, analog usage, communication
    energy) run through the session's :class:`PassMemo` exactly like the
    engine would;
 3. timing evaluates element-wise over per-point column vectors, and the
-   scalar engine's own energy models — :func:`analog_energy` with the
-   lowered kernels, :func:`digital_energy` — build one
-   :class:`EnergyReport` whose energies and rates are columns
+   scalar engine's own energy models — :func:`analog_energy` (through
+   the A-Cell, component and array models), :func:`digital_energy` —
+   build one :class:`EnergyReport` whose energies and rates are columns
    (:mod:`repro.columns`);
 4. each ``elementwise`` metric's single extractor reads its column off
    that report.
@@ -26,8 +27,8 @@ engine is replayed element-wise, so vector-evaluated points are
 boundaries, same :class:`TimingError` messages — which the property
 tests in ``tests/test_vector.py`` assert.  Designs, cells, or memories
 that cannot be vectorized raise
-:class:`~repro.exceptions.VectorUnsupported` during lowering (before any
-observable cache side effect) and the engine falls back to
+:class:`~repro.exceptions.VectorUnsupported` during the screen (before
+any observable cache side effect) and the engine falls back to
 :meth:`Simulator.run_many` for the group; objectives that are not
 ``elementwise`` send every group there.
 
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,16 +62,20 @@ from repro.energy.analog_model import analog_energy, analog_usage
 from repro.energy.comm_model import communication_energy
 from repro.energy.digital_model import digital_energy
 from repro.energy.report import Category, EnergyReport
-from repro.exceptions import CamJError, TimingError, VectorUnsupported
+from repro.exceptions import CamJError, VectorUnsupported
 from repro.explore.annotate import _HINTS, Bottleneck
 from repro.explore.engine import ExplorationPoint, _evaluate_point
 from repro.explore.metrics import Metric
-from repro.hw.analog.vector import lower_array
+from repro.hw.analog.array import AnalogArray
+from repro.hw.analog.cells import DynamicCell, NonLinearCell, StaticCell
+from repro.hw.analog.components import AnalogComponent
+from repro.hw.digital.memory import DigitalMemory
 from repro.sim.cycle_sim import simulate_digital
+from repro.sim.delay import frame_budget, over_budget
 from repro.sim.simulator import _run_pass
 
 #: Smallest same-design group the ``auto`` engine vectorizes.  Tiny
-#: groups gain nothing over the object path (lowering plus array setup
+#: groups gain nothing over the object path (screening plus array setup
 #: costs more than a handful of scalar runs), and below this bound the
 #: object path's per-point reports stay attached — the behavior existing
 #: small sweeps (and their tests) expect.  ``engine="vector"`` ignores
@@ -78,7 +83,9 @@ from repro.sim.simulator import _run_pass
 VECTOR_MIN_POINTS = 4
 
 _LOWERED_LIMIT = 128
-_lowered_cache: "OrderedDict[str, Dict[str, Callable]]" = OrderedDict()
+#: Content hashes of the designs the screen admitted, most recent last.
+#: perfbench's explore-grid cold guard reads it and its lock by name.
+_lowered_cache: "OrderedDict[str, bool]" = OrderedDict()
 _lowered_lock = threading.Lock()
 
 
@@ -93,38 +100,54 @@ def vector_support_error(objectives: Sequence[Metric]) -> Optional[str]:
     return None
 
 
-def _lower_design(design: Design, design_hash: Optional[str]
-                  ) -> Dict[str, Callable]:
-    """Lower every analog array of a design to vector energy kernels.
+_STOCK_CELLS = (DynamicCell, StaticCell, NonLinearCell)
 
+
+def _screen_design(design: Design, design_hash: Optional[str]) -> None:
+    """Admit a design to the vector path, or raise VectorUnsupported.
+
+    The stock analog arrays, components and cells, and the stock
+    :meth:`~repro.hw.digital.memory.DigitalMemory.leakage_energy`,
+    evaluate a column of delays element-wise; a subclass may override
+    them with code that does not, so the screen checks exact types.
     Pure over the design's *system* (no passes run, no cache touched),
     so eligibility is decided before the group produces any observable
-    side effect.  Also pre-screens the digital memories: their leakage
-    is later asked for a frame-time column, which only the stock
-    :meth:`~repro.hw.digital.memory.DigitalMemory.leakage_energy` is
-    known to accept.  Memoized per content hash.
+    side effect.  Admissions are memoized per content hash.
     """
     if design_hash is not None:
         with _lowered_lock:
-            cached = _lowered_cache.get(design_hash)
-            if cached is not None:
+            if design_hash in _lowered_cache:
                 _lowered_cache.move_to_end(design_hash)
-                return cached
-    from repro.hw.digital.memory import DigitalMemory
+                return
     for memory in design.system.memories:
         if getattr(type(memory), "leakage_energy", None) \
                 is not DigitalMemory.leakage_energy:
             raise VectorUnsupported(
                 f"memory {getattr(memory, 'name', memory)!r} overrides "
                 f"leakage_energy")
-    lowered = {array.name: lower_array(array)
-               for array in design.system.analog_arrays}
+    for array in design.system.analog_arrays:
+        if type(array) is not AnalogArray:
+            raise _custom_type("array", array)
+        if not array.components:
+            raise VectorUnsupported(
+                f"array {array.name!r} has no components")
+        for component, _ in array.components:
+            if type(component) is not AnalogComponent:
+                raise _custom_type("component", component)
+            for usage in component.cell_usages:
+                if type(usage.cell) not in _STOCK_CELLS:
+                    raise _custom_type("cell", usage.cell)
     if design_hash is not None:
         with _lowered_lock:
-            _lowered_cache[design_hash] = lowered
+            _lowered_cache[design_hash] = True
             while len(_lowered_cache) > _LOWERED_LIMIT:
                 _lowered_cache.popitem(last=False)
-    return lowered
+
+
+def _custom_type(kind: str, model) -> VectorUnsupported:
+    return VectorUnsupported(
+        f"{kind} {getattr(model, 'name', model)!r} has custom type "
+        f"{type(model).__name__}")
 
 
 def _column(values, size: int):
@@ -222,25 +245,24 @@ def evaluate_group(simulator: Simulator, design: Design,
     ``group`` holds ``(params, options)`` pairs.  Returns the points in
     group order plus the result-cache hit count.  Raises
     :class:`VectorUnsupported` — before any cache probe or pass runs —
-    when the design cannot be lowered; the caller falls back to the
+    when the design fails the screen; the caller falls back to the
     object path with no counters disturbed.
     """
     design_hash = simulator.design_key(design)
-    # Eligibility first: lowering inspects only the system, so an
+    # Eligibility first: the screen inspects only the system, so an
     # unsupported design escapes here with zero observable side effects.
-    lowered = _lower_design(design, design_hash)
+    _screen_design(design, design_hash)
     points: List[Optional[ExplorationPoint]] = [None] * len(group)
-    hits = _evaluate_lowered(simulator, design, design_hash, lowered,
-                             group, objectives, annotate, points)
+    hits = _evaluate_screened(simulator, design, design_hash, group,
+                              objectives, annotate, points)
     return points, hits
 
 
-def _evaluate_lowered(simulator: Simulator, design: Design,
-                      design_hash: Optional[str],
-                      lowered: Dict[str, Callable],
-                      group: List[Tuple[Dict[str, Any], SimOptions]],
-                      objectives: Sequence[Metric], annotate: bool,
-                      points: List[Optional[ExplorationPoint]]) -> int:
+def _evaluate_screened(simulator: Simulator, design: Design,
+                       design_hash: Optional[str],
+                       group: List[Tuple[Dict[str, Any], SimOptions]],
+                       objectives: Sequence[Metric], annotate: bool,
+                       points: List[Optional[ExplorationPoint]]) -> int:
     """Fill ``points``; returns how many the result cache served."""
 
     def fail(indices: Sequence[int], error: CamJError) -> None:
@@ -329,8 +351,7 @@ def _evaluate_lowered(simulator: Simulator, design: Design,
     else:
         frame_rate_vec = np.array([float(group[i][1].frame_rate)
                                     for i in survivors])
-    frame_time_vec = 1.0 / frame_rate_vec
-    budget = frame_time_vec - digital_latency
+    frame_time_vec, budget = frame_budget(frame_rate_vec, digital_latency)
     feasible_mask = budget > 0.0
     if feasible_mask.all():
         # Common case: every survivor fits its frame budget — skip the
@@ -347,12 +368,9 @@ def _evaluate_lowered(simulator: Simulator, design: Design,
                 feasible_positions.append(position)
                 continue
             i = survivors[position]
-            error = TimingError(
-                f"digital latency ({digital_latency:.3e} s) exceeds the "
-                f"frame budget ({frame_time_list[position]:.3e} s at "
-                f"{group[i][1].frame_rate:g} FPS); the "
-                f"digital pipeline needs a re-design")
-            fail([i], error)
+            fail([i], over_budget(group[i][1].frame_rate,
+                                  frame_time_list[position],
+                                  digital_latency))
         if not feasible_positions:
             return hits
         # Compact to the feasible subset (exact element copies, so the
@@ -378,8 +396,7 @@ def _evaluate_lowered(simulator: Simulator, design: Design,
                           digital_latency=digital_latency,
                           analog_stage_delay=delay_f)
     try:
-        report.extend(analog_energy(participating, delay_f,
-                                    kernels=lowered))
+        report.extend(analog_energy(participating, delay_f))
         report.extend(digital_energy(design.system, timeline,
                                      frame_time_f))
         report.extend(_run_pass(

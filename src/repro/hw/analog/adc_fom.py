@@ -20,6 +20,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from repro import units
+from repro.columns import _is_column
 from repro.exceptions import ConfigurationError
 
 #: Walden FoM floor below the corner frequency (J per conversion-step).
@@ -94,10 +95,14 @@ def walden_fom(sample_rate: float, window_decades: float = 0.5) -> float:
 
 
 def adc_energy_per_conversion(sample_rate: float, bits: int) -> float:
-    """Median energy of one full conversion: ``FoM * 2**bits`` (Eq. 12)."""
+    """Median energy of one full conversion: ``FoM * 2**bits`` (Eq. 12).
+
+    ``sample_rate`` may be a per-point column (:mod:`repro.columns`).
+    """
     if bits < 1:
         raise ConfigurationError(f"ADC resolution must be >= 1 bit, got {bits}")
-    return walden_fom(sample_rate) * (2 ** bits)
+    lookup = _walden_fom_batch if _is_column(sample_rate) else walden_fom
+    return lookup(sample_rate) * (2 ** bits)
 
 
 _SURVEY_LOG_RATES = tuple(math.log10(point.sample_rate)
@@ -105,8 +110,8 @@ _SURVEY_LOG_RATES = tuple(math.log10(point.sample_rate)
 _SURVEY_FOMS = tuple(point.fom for point in FOM_SURVEY)
 
 
-def walden_fom_batch(sample_rates, window_decades: float = 0.5):
-    """Vector mirror of :func:`walden_fom` over an array of rates.
+def _walden_fom_batch(sample_rates, window_decades: float = 0.5):
+    """:func:`walden_fom` over a column of rates, batched.
 
     Bit-identical per element: the log-space window is evaluated against
     the same ``math.log10`` values the scalar lookup compares, and each

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.columns import total
+from repro.columns import any_true, total
 from repro.exceptions import ConfigurationError
 from repro.hw.analog.components import AnalogComponent, _volume
 from repro.hw.analog.domain import SignalDomain
@@ -163,10 +163,11 @@ class AnalogArray:
         Each component instance performs ``ops / count`` accesses serially
         within the array delay, so its per-access delay is the array delay
         divided by that access count (never less than one access worth —
-        an underutilized component simply idles).
+        an underutilized component simply idles).  ``array_delay`` may be a
+        per-point column (:mod:`repro.columns`).
         """
         self._require_components()
-        if array_delay <= 0:
+        if any_true(array_delay <= 0):
             raise ConfigurationError(
                 f"analog array {self.name!r}: delay must be positive, "
                 f"got {array_delay}")

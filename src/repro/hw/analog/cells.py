@@ -14,18 +14,19 @@ them in three classes with distinct energy physics:
 
 Cell energies are evaluated lazily against a timing context because static
 and non-linear cells depend on the delay the pipeline allocates to them
-(Sec. 4.1); dynamic cells ignore timing.
+(Sec. 4.1); dynamic cells ignore timing.  The stock cells also take a
+per-point column of delays (:mod:`repro.columns`): the same formulas then
+give one energy per point.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 from repro import units
-from repro.columns import total
+from repro.columns import any_true, total
 from repro.exceptions import ConfigurationError
 from repro.hw.analog.adc_fom import adc_energy_per_conversion
 
@@ -179,7 +180,7 @@ class StaticCell(AnalogCell):
 
     def bias_current(self, cell_delay: float) -> float:
         """Estimated bias current given the allocated settling delay."""
-        if cell_delay <= 0:
+        if any_true(cell_delay <= 0):
             raise ConfigurationError(
                 f"static cell {self.name!r}: cell delay must be positive, "
                 f"got {cell_delay}")
@@ -194,7 +195,7 @@ class StaticCell(AnalogCell):
         """``Vdda * Ibias * t_static`` (Eq. 7)."""
         if static_time is None:
             static_time = cell_delay
-        if static_time < 0:
+        if any_true(static_time < 0):
             raise ConfigurationError(
                 f"static cell {self.name!r}: static time must be "
                 f"non-negative, got {static_time}")
@@ -228,7 +229,7 @@ class NonLinearCell(AnalogCell):
         """Energy of one conversion at the sampling rate ``1/cell_delay``."""
         if self.energy_per_conversion is not None:
             return self.energy_per_conversion
-        if cell_delay <= 0:
+        if any_true(cell_delay <= 0):
             raise ConfigurationError(
                 f"non-linear cell {self.name!r}: cell delay must be "
                 f"positive, got {cell_delay}")
@@ -303,18 +304,3 @@ def CurrentMirrorCell(name: str = "CurrentMirror",
     return StaticCell.direct_drive(name, load_capacitance, voltage_swing,
                                    vdda=vdda)
 
-
-@dataclass
-class CellTiming:
-    """Timing context handed to a cell by the component delay allocator."""
-
-    cell_delay: float
-    static_time: float = field(default=0.0)
-
-    def __post_init__(self) -> None:
-        if self.cell_delay <= 0:
-            raise ConfigurationError(
-                f"cell delay must be positive, got {self.cell_delay}")
-        if self.static_time < 0:
-            raise ConfigurationError(
-                f"static time must be non-negative, got {self.static_time}")

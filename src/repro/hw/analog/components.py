@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro import units
+from repro.columns import any_true
 from repro.exceptions import ConfigurationError
 from repro.hw.analog.cells import (
     AnalogCell,
@@ -139,9 +140,10 @@ class AnalogComponent:
         The delay is evenly split across critical-path cells; the j-th cell
         stays statically biased from its own activation until the end of the
         component access (Eq. 11), unless its usage carries an explicit
-        ``static_time`` override.
+        ``static_time`` override.  ``component_delay`` may be a per-point
+        column (:mod:`repro.columns`).
         """
-        if component_delay <= 0:
+        if any_true(component_delay <= 0):
             raise ConfigurationError(
                 f"component {self.name!r}: delay must be positive, "
                 f"got {component_delay}")

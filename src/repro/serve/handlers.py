@@ -303,10 +303,10 @@ async def handle_submit(app, request: Request) -> Response:
     The body is either a bare spec (design/scenario, explore, or
     robust) or an envelope ``{"kind": "run"|"explore"|"robust",
     "spec": {...}}``.  Without an explicit kind, robust specs are
-    recognized by their schema tag or a robust ``kind`` key, explore
-    specs by their schema tag or a ``space`` key.  Bad specs are typed
-    400s; building the design happens off the event loop — structural
-    payloads can be large.
+    recognized by their schema tag or a ``kind`` key (run and explore
+    specs have none), explore specs by their schema tag or a ``space``
+    key.  Bad specs are typed 400s; building the design happens off the
+    event loop — structural payloads can be large.
     """
     import asyncio
 
@@ -336,8 +336,7 @@ async def handle_submit(app, request: Request) -> Response:
                            f"kind must be 'run', 'explore', or 'robust', "
                            f"got {kind!r}")
     if kind is None:
-        if spec.get("schema") == ROBUST_SPEC_SCHEMA or (
-                "variation" in spec and "kind" in spec):
+        if spec.get("schema") == ROBUST_SPEC_SCHEMA or "kind" in spec:
             kind = "robust"
         elif spec.get("schema") == EXPLORATION_SPEC_SCHEMA \
                 or "space" in spec:

@@ -38,6 +38,24 @@ class FrameTiming:
         return self.num_analog_slots * self.analog_stage_delay
 
 
+def frame_budget(frame_rate, digital_latency):
+    """``(T_FR, T_FR - T_D)``: the frame time and the analog budget in it.
+
+    ``frame_rate`` may be a per-point column (:mod:`repro.columns`).
+    """
+    frame_time = 1.0 / frame_rate
+    return frame_time, frame_time - digital_latency
+
+
+def over_budget(frame_rate: float, frame_time: float,
+                digital_latency: float) -> TimingError:
+    """The error of a frame whose digital latency leaves no analog budget."""
+    return TimingError(
+        f"digital latency ({digital_latency:.3e} s) exceeds the frame "
+        f"budget ({frame_time:.3e} s at {frame_rate:g} FPS); the "
+        f"digital pipeline needs a re-design")
+
+
 def estimate_frame_timing(frame_rate: float, digital_latency: float,
                           num_analog_arrays: int,
                           exposure_slots: int = EXPOSURE_SLOTS
@@ -60,14 +78,10 @@ def estimate_frame_timing(frame_rate: float, digital_latency: float,
     if exposure_slots < 0:
         raise ConfigurationError(
             f"exposure slots must be non-negative, got {exposure_slots}")
-    frame_time = 1.0 / frame_rate
+    frame_time, analog_budget = frame_budget(frame_rate, digital_latency)
     slots = num_analog_arrays + exposure_slots
-    analog_budget = frame_time - digital_latency
     if analog_budget <= 0:
-        raise TimingError(
-            f"digital latency ({digital_latency:.3e} s) exceeds the frame "
-            f"budget ({frame_time:.3e} s at {frame_rate:g} FPS); the "
-            f"digital pipeline needs a re-design")
+        raise over_budget(frame_rate, frame_time, digital_latency)
     if slots == 0:
         analog_stage_delay = analog_budget
     else:

@@ -122,6 +122,18 @@ def streaming_builder():
 
 
 @pytest.fixture
+def delay_column():
+    """200 random delays, log-uniform from 30 ps to 10 ms (fixed seed).
+
+    The per-point column the explore fast path hands the analog models;
+    the ADC sample rates it implies run past both ends of the Walden
+    survey.
+    """
+    import numpy
+    return 10.0 ** numpy.random.default_rng(20).uniform(-10.5, -2.0, 200)
+
+
+@pytest.fixture
 def fig5_stages():
     return build_fig5_stages()
 

@@ -1,5 +1,6 @@
 """Tests for the Walden FoM survey used by non-linear A-Cells."""
 
+import numpy as np
 import pytest
 
 from repro import units
@@ -68,3 +69,30 @@ class TestEnergyPerConversion:
     def test_rejects_zero_bits(self):
         with pytest.raises(ConfigurationError):
             adc_energy_per_conversion(1 * units.MHz, 0)
+
+
+class TestRateColumns:
+    """A column of rates takes the batched lookup, bit for bit."""
+
+    @pytest.mark.parametrize("bits", [1, 10])
+    def test_each_element_equals_the_float_call(self, bits, delay_column):
+        rates = 1.0 / delay_column
+        energies = adc_energy_per_conversion(rates, bits)
+        assert energies.tolist() == [adc_energy_per_conversion(rate, bits)
+                                     for rate in rates.tolist()]
+
+    def test_survey_rates_and_window_edges_match(self):
+        # Rates exactly on survey points and half a decade off them sit
+        # on the lookup window's edges.
+        rates = np.array([point.sample_rate * 10.0 ** shift
+                          for point in FOM_SURVEY
+                          for shift in (-0.5, 0.0, 0.5)])
+        assert adc_energy_per_conversion(rates, 8).tolist() \
+            == [adc_energy_per_conversion(rate, 8)
+                for rate in rates.tolist()]
+
+    def test_a_non_positive_rate_is_rejected(self, delay_column):
+        rates = 1.0 / delay_column
+        rates[17] = 0.0
+        with pytest.raises(ConfigurationError, match="positive"):
+            adc_energy_per_conversion(rates, 10)

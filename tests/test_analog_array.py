@@ -140,6 +140,29 @@ class TestEnergy:
             _pixel_array().energy(100, 0.0)
 
 
+class TestDelayColumns:
+    """A column of delays gives, per element, the float call's energy."""
+
+    def test_each_element_equals_the_float_call(self, delay_column):
+        array = AnalogArray("Readout")
+        array.add_component(ActivePixelSensor(num_shared_pixels=4), (16, 16))
+        array.add_component(ColumnADC(), (1, 16))
+        delays = delay_column.tolist()
+        for ops in (64.0, 1024.0):
+            breakdown = array.energy_breakdown(ops, delay_column)
+            floats = [array.energy_breakdown(ops, d) for d in delays]
+            assert list(breakdown) == ["APS", "ADC"]
+            for name, energies in breakdown.items():
+                assert energies.tolist() == [point[name] for point in floats]
+            assert array.energy(ops, delay_column).tolist() \
+                == [array.energy(ops, d) for d in delays]
+
+    def test_a_non_positive_delay_is_rejected(self, delay_column):
+        delay_column[17] = 0.0
+        with pytest.raises(ConfigurationError, match="positive"):
+            _pixel_array().energy_breakdown(100, delay_column)
+
+
 class TestWiring:
     def test_array_to_array(self):
         pixels = _pixel_array()

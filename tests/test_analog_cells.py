@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro import units
@@ -173,3 +174,42 @@ class TestConcreteCells:
     def test_current_mirror_is_static(self):
         mirror = CurrentMirrorCell()
         assert mirror.energy(1e-6) > 0
+
+
+#: The stock cells, each with the timing branch it takes.
+_COLUMN_CELLS = {
+    "photodiode": Photodiode(),
+    "source-follower": SourceFollower(),
+    "opamp": OpAmp(),
+    "adc-fom": ADCCell(),
+    "adc-fixed": ADCCell(energy_per_conversion=2 * units.pJ),
+    "comparator": ComparatorCell(),
+}
+
+
+class TestDelayColumns:
+    """A column of delays gives, per element, the float call's energy."""
+
+    @pytest.mark.parametrize("cell", list(_COLUMN_CELLS.values()),
+                             ids=list(_COLUMN_CELLS))
+    def test_each_element_equals_the_float_call(self, cell, delay_column):
+        delays = delay_column.tolist()
+        energies = np.broadcast_to(cell.energy(delay_column),
+                                   delay_column.shape)
+        assert energies.tolist() == [cell.energy(d) for d in delays]
+        held = np.broadcast_to(cell.energy(delay_column, 3 * delay_column),
+                               delay_column.shape)
+        assert held.tolist() == [cell.energy(d, 3 * d) for d in delays]
+
+    @pytest.mark.parametrize("cell", [SourceFollower(), OpAmp(), ADCCell()],
+                             ids=["source-follower", "opamp", "adc-fom"])
+    def test_a_non_positive_delay_is_rejected(self, cell, delay_column):
+        delay_column[17] = 0.0
+        with pytest.raises(ConfigurationError, match="positive"):
+            cell.energy(delay_column)
+
+    def test_a_negative_static_time_is_rejected(self, delay_column):
+        static = delay_column.copy()
+        static[17] = -1e-6
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            OpAmp().energy(delay_column, static)

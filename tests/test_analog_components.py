@@ -207,3 +207,36 @@ class TestOtherComponents:
 
     def test_subtractor_consumes_two_inputs(self):
         assert SwitchedCapSubtractor().input_volume == 2
+
+
+#: The stock components the explore fast path meets most, plus one with
+#: a cell off the critical path.
+_COLUMN_COMPONENTS = {
+    "aps-binned-cds": ActivePixelSensor(num_shared_pixels=4,
+                                        correlated_double_sampling=True),
+    "column-adc": ColumnADC(bits=10),
+    "analog-mac": AnalogMAC(kernel_volume=9),
+    "active-memory": ActiveAnalogMemory(hold_time=1 / 30),
+    "off-critical-path": AnalogComponent(
+        "Aux", SignalDomain.VOLTAGE, SignalDomain.VOLTAGE,
+        [CellUsage(DynamicCell("C", [(5 * units.fF, 1.0)])),
+         CellUsage(OpAmp(), spatial=2, on_critical_path=False)]),
+}
+
+
+class TestDelayColumns:
+    """A column of delays gives, per element, the float call's energy."""
+
+    @pytest.mark.parametrize("component", list(_COLUMN_COMPONENTS.values()),
+                             ids=list(_COLUMN_COMPONENTS))
+    def test_each_element_equals_the_float_call(self, component,
+                                                delay_column):
+        energies = component.energy_per_access(delay_column)
+        assert energies.tolist() == [component.energy_per_access(d)
+                                     for d in delay_column.tolist()]
+
+    def test_a_non_positive_delay_is_rejected(self, delay_column):
+        delay_column[17] = -1e-6
+        with pytest.raises(ConfigurationError, match="positive"):
+            ColumnADC(energy_per_conversion=1 * units.pJ).energy_per_access(
+                delay_column)

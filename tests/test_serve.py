@@ -212,6 +212,30 @@ class TestRunJobs:
         assert client.wait(job["id"], timeout=60.0)["state"] == "done"
 
 
+class TestBareRobustSpecs:
+    """A bare spec with a ``kind`` key is a robust study, not a run."""
+
+    def test_bare_corners_spec_runs_the_corners(self, client):
+        spec = {"kind": "corners", "usecase": "fig5", "corners": "pvt"}
+        job = client.submit(spec)
+        assert job["kind"] == "robust"
+        done = client.wait(job["id"], timeout=60.0)
+        assert done["state"] == "done"
+        result = client.result(job["id"])["result"]
+        assert result["schema"] == "repro.robust/1"
+        assert result["kind"] == "corners"
+        from repro.robust import robust_spec_from_dict
+        direct = robust_spec_from_dict(spec).run_document()
+        assert result["corners"] == direct["corners"]
+        assert result["nominal"] == direct["nominal"]
+
+    def test_bare_spec_with_unknown_kind_is_typed_400(self, client):
+        with pytest.raises(ServeError) as excinfo:
+            client.submit({"kind": "corner", "usecase": "fig5"})
+        assert excinfo.value.status == 400
+        assert excinfo.value.error_type == "SerializationError"
+
+
 class TestExploreJobs:
     def test_explore_job_matches_direct_engine(self, client):
         rates = [31.0, 37.0, 41.0, 43.0]

@@ -17,7 +17,7 @@ import time
 import pytest
 
 import repro.api.simulator as simulator_module
-from repro.api import SimOptions, Simulator, build_usecase
+from repro.api import Design, SimOptions, Simulator, build_usecase
 from repro.api.registry import available_usecases
 from repro.api.result import ResultBlock
 from repro.energy.report import Category
@@ -38,6 +38,12 @@ from repro.explore import (
 )
 from repro.explore.metrics import _REGISTRY, available_metrics
 from repro.explore.vector import VECTOR_MIN_POINTS, vector_support_error
+from repro.hw.analog import SingleSlopeADC
+from repro.hw.analog.cells import NonLinearCell
+from repro.hw.analog.components import AnalogComponent
+from repro.hw.digital.memory import LineBuffer
+from repro.usecases.fig5 import (FIG5_MAPPING, build_fig5_stages,
+                                 build_fig5_system)
 
 #: Design-parameter axes of each registered usecase builder.
 _DESIGN_AXES = {
@@ -162,8 +168,60 @@ class TestThroughput:
         assert vector_rate / (len(sample) / object_s) >= 10.0
 
 
+class _FlooredComponent(AnalogComponent):
+    """Charges at least 1 fJ per access: a branch only floats can take."""
+
+    def energy_per_access(self, component_delay):
+        energy = super().energy_per_access(component_delay)
+        return energy if energy > 1e-15 else 1e-15
+
+
+class _GatedLineBuffer(LineBuffer):
+    """Power-gated at slow frames: a branch only floats can take."""
+
+    def leakage_energy(self, frame_time):
+        return 0.0 if frame_time > 0.05 else super().leakage_energy(
+            frame_time)
+
+
+def _single_slope_adc(system):
+    adc = system.analog_arrays[1].components[0][0]
+    for usage in adc.cell_usages:
+        if type(usage.cell) is NonLinearCell:
+            usage.cell = SingleSlopeADC().cell_usages[0].cell
+
+
+def _floored_pixel(system):
+    system.analog_arrays[0].components[0][0].__class__ = _FlooredComponent
+
+
+def _gated_line_buffer(system):
+    system.memories[0].__class__ = _GatedLineBuffer
+
+
 class TestRouting:
     """Which points the auto engine routes where, and the counters."""
+
+    @pytest.mark.parametrize("edit", [_single_slope_adc, _floored_pixel,
+                                      _gated_line_buffer])
+    def test_custom_models_fall_back_to_the_object_path(self, edit):
+        # Custom models may not accept a column of delays: the screen
+        # sends their groups to the object path, with the same results.
+        def build():
+            system = build_fig5_system()
+            edit(system)
+            return Design(build_fig5_stages(), system, dict(FIG5_MAPPING),
+                          name="Fig5")
+
+        space = grid(**{"options.frame_rate":
+                        [float(10 + 10 * step) for step in range(8)]})
+        objectives = ("energy_per_frame", "latency")
+        auto = explore(space, build, objectives=objectives).to_dict()
+        reference = explore(space, build, objectives=objectives,
+                            engine="object").to_dict()
+        assert auto.pop("engines") == {"vectorized": 0, "fallback": 8}
+        reference.pop("engines")
+        assert auto == reference
 
     def test_auto_vectorizes_groups_at_threshold(self):
         rates = [float(15 + 5 * step) for step in range(VECTOR_MIN_POINTS)]
@@ -527,14 +585,29 @@ class TestServeIntegration:
 class TestNumpyBoundary:
     """Only the vector path needs NumPy; the scalar engine never loads it."""
 
-    def test_scalar_modules_do_not_import_numpy(self):
-        code = ("import sys, repro, repro.energy.report, repro.area.model, "
-                "repro.explore.metrics; print('numpy' in sys.modules)")
+    @staticmethod
+    def _numpy_loaded(code):
+        """``"True"`` if running ``code`` in a fresh interpreter imports
+        NumPy, else ``"False"``."""
         src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=src if not path
                    else os.pathsep.join([src, path]))
+        code += "; print('numpy' in sys.modules)"
         output = subprocess.run([sys.executable, "-c", code], check=True,
                                 capture_output=True, text=True,
                                 env=env).stdout
-        assert output.strip() == "False"
+        return output.strip()
+
+    def test_scalar_modules_do_not_import_numpy(self):
+        assert self._numpy_loaded(
+            "import sys, repro, repro.energy.report, repro.area.model, "
+            "repro.explore.metrics") == "False"
+
+    def test_scalar_run_does_not_import_numpy(self):
+        # fig5's ADC takes the Walden lookup: a float rate must not
+        # reach the batched column lookup.
+        assert self._numpy_loaded(
+            "import sys; from repro.api import Simulator, build_usecase; "
+            "Simulator(cache=False).run(build_usecase('fig5')).report"
+            ".total_energy") == "False"
