@@ -7,11 +7,13 @@ benchmark run, and exploration sharing a ``cache_dir`` starts warm.
 
 On-disk format
 --------------
-One JSON file per key, named by the SHA-256 of the key, carrying the
-versioned :data:`DISK_CACHE_SCHEMA` tag.  Loads are corruption-tolerant:
-a truncated, unparseable, or schema-mismatched entry is a miss, never an
-exception (corrupt files are swept away; files with a foreign schema are
-left for whoever owns them).  Writes go through a temp file and
+One JSON file per key, named by the SHA-256 of the key and of the
+:func:`model_fingerprint` (so entries written by other model code are
+never found), carrying the versioned :data:`DISK_CACHE_SCHEMA` tag.
+Loads are corruption-tolerant: a truncated, unparseable, or
+schema-mismatched entry is a miss, never an exception (corrupt files are
+swept away; files with a foreign schema are left for whoever owns
+them).  Writes go through a temp file and
 ``os.replace``, so concurrent sessions sharing a directory always read
 complete entries and last-writer-wins races are benign — both writers
 hold identical content for identical keys.
@@ -30,6 +32,7 @@ per-session and surface through :meth:`repro.api.Simulator.cache_info`.
 from __future__ import annotations
 
 import errno
+import functools
 import hashlib
 import json
 import os
@@ -58,6 +61,11 @@ LOW_WATER_FRACTION = 0.9
 #: Environment variable naming a default cache directory for every
 #: :class:`~repro.api.Simulator` that does not set ``cache_dir``.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+#: What the model fingerprint covers, relative to the ``repro`` package:
+#: the packages and modules whose code computes a result's numbers.
+MODEL_SOURCES = ("hw", "sw", "sim", "energy", "tech", "area", "memlib",
+                 "noise", "columns.py", "units.py")
 
 #: What a cache entry's filename looks like (the SHA-256 key digest).
 #: ``clear`` and eviction touch nothing else, so pointing a cache at a
@@ -141,11 +149,13 @@ class DiskResultCache:
 
     def entry_path(self, design_hash: str, options: SimOptions
                    ) -> pathlib.Path:
-        """Where the entry for one ``(design_hash, options)`` key lives."""
+        """Where the entry for one ``(design_hash, options)`` key lives
+        under the current :func:`model_fingerprint`."""
         canonical = json.dumps(options.to_dict(), sort_keys=True,
                                separators=(",", ":"))
         digest = hashlib.sha256(
-            f"{design_hash}\n{canonical}".encode("utf-8")).hexdigest()
+            f"{model_fingerprint()}\n{design_hash}\n{canonical}"
+            .encode("utf-8")).hexdigest()
         return self.directory / f"{digest}.json"
 
     # --- lookups ----------------------------------------------------------
@@ -350,6 +360,30 @@ class DiskResultCache:
         with self._lock:
             self._approx_bytes = total
             self._evictions += evicted
+
+
+@functools.lru_cache(maxsize=None)
+def model_fingerprint() -> str:
+    """SHA-256 of the model's source: every ``.py`` file of
+    :data:`MODEL_SOURCES`, by relative path and content.
+
+    A formula change gives new cache keys, so a persistent cache never
+    serves energies the current code would not compute.  Computed on
+    first use of a disk cache, once per process.  A source missing from
+    the installation (a bytecode-only install) hashes as absent.
+    """
+    root = pathlib.Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for name in MODEL_SOURCES:
+        source = root / name
+        files = sorted(source.rglob("*.py")) if source.is_dir() \
+            else [source] if source.is_file() else []
+        for path in files:
+            content = path.read_bytes()
+            digest.update(f"{path.relative_to(root).as_posix()}\n"
+                          f"{len(content)}\n".encode("utf-8"))
+            digest.update(content)
+    return digest.hexdigest()
 
 
 def default_cache_dir() -> Optional[str]:

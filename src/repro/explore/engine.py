@@ -20,9 +20,10 @@ from __future__ import annotations
 import json
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.api.design import Design
 from repro.api.registry import build_usecase
@@ -124,29 +125,94 @@ def dominance_ranks(vectors: Sequence[Sequence[float]],
     ``0..k-1`` away; NaN-containing vectors get rank ``None``.  One
     sorted pass (ENS-BS, Zhang et al., IEEE TEC 2015) puts each point in
     the first front holding no dominator of it, found by binary search.
+    Dominators sort first, so "front k holds one" is monotone in k and
+    the first objective needs no test.  Up to three objectives, a front
+    answers through its staircase (:class:`_Staircase`); beyond, by a
+    scan of its members.
     """
     ranks: List[Optional[int]] = [None] * len(vectors)
     keyed = sorted((key, index) for index, key
                    in enumerate(_goal_keys(vectors, goals)) if key is not None)
-    fronts: List[List[Tuple[Tuple[float, ...], Tuple[float, ...]]]] = []
+    front_type = _Staircase if len(goals) <= 3 else _ScanFront
+    pad = (0.0,) * max(0, 3 - len(goals))
+    fronts: List[Any] = []
     for key, index in keyed:
-        # Dominators sort first, so "front k holds one" is monotone in k
-        # and objective 1 needs no test; ``!=`` keeps exact ties apart.
-        # Newest members sit closest in sort order, so test them first.
-        tail = key[1:]
+        key += pad
         low, high = 0, len(fronts)
         while low < high:
             middle = (low + high) // 2
-            if any(all(map(operator.le, other_tail, tail)) and other != key
-                   for other, other_tail in reversed(fronts[middle])):
+            if fronts[middle].dominates(key):
                 low = middle + 1
             else:
                 high = middle
         if low == len(fronts):
-            fronts.append([])
-        fronts[low].append((key, tail))
+            fronts.append(front_type())
+        fronts[low].add(key)
         ranks[index] = low
     return ranks
+
+
+class _ScanFront:
+    """A front as its member list, tested member by member."""
+
+    __slots__ = ("members",)
+
+    def __init__(self):
+        self.members: List[Tuple[Tuple[float, ...], Tuple[float, ...]]] = []
+
+    def dominates(self, key: Tuple[float, ...]) -> bool:
+        # ``!=`` keeps exact ties apart.  Newest members sit closest in
+        # sort order, so test them first.
+        tail = key[1:]
+        return any(all(map(operator.le, other_tail, tail)) and other != key
+                   for other, other_tail in reversed(self.members))
+
+    def add(self, key: Tuple[float, ...]) -> None:
+        self.members.append((key, key[1:]))
+
+
+class _Staircase:
+    """A front of (at most) three objectives ``(a, b, c)`` — fewer are
+    padded with zeros — kept as the staircase of its minimal ``(b, c)``
+    tails: ``b`` strictly rising, ``c`` strictly falling, each with the
+    ``a`` of its member.
+
+    Every earlier point has ``a`` no larger, so a member dominates
+    ``(a, b, c)`` iff its tail is no larger and it is not an exact tie.
+    The rightmost step with ``b' <= b`` has the least ``c'`` of them.  A
+    front holds no dominance, so its members with one tail share their
+    ``a``: a step whose tail equals the query's dominates iff its ``a``
+    is smaller.
+    """
+
+    __slots__ = ("firsts", "seconds", "thirds")
+
+    def __init__(self):
+        self.firsts: List[float] = []
+        self.seconds: List[float] = []
+        self.thirds: List[float] = []
+
+    def dominates(self, key: Tuple[float, ...]) -> bool:
+        first, second, third = key
+        step = bisect_right(self.seconds, second) - 1
+        if step < 0:
+            return False
+        least = self.thirds[step]
+        return least < third or (least == third and (
+            self.seconds[step] < second or self.firsts[step] < first))
+
+    def add(self, key: Tuple[float, ...]) -> None:
+        first, second, third = key
+        seconds, thirds = self.seconds, self.thirds
+        step = bisect_right(seconds, second)
+        if step and thirds[step - 1] <= third:
+            return  # a step already covers this tail
+        low = high = bisect_left(seconds, second)
+        while high < len(thirds) and thirds[high] >= third:
+            high += 1
+        seconds[low:high] = [second]
+        thirds[low:high] = [third]
+        self.firsts[low:high] = [first]
 
 
 # --- result model ---------------------------------------------------------
@@ -202,9 +268,17 @@ class ExplorationPoint:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ExplorationPoint":
+        if not isinstance(payload, dict):
+            raise SerializationError(
+                f"exploration point must be an object, "
+                f"got {type(payload).__name__}")
+        failure = payload.get("failure")
+        if failure is not None and not isinstance(failure, dict):
+            raise SerializationError(
+                f"exploration point failure must be an object or null, "
+                f"got {type(failure).__name__}")
+        bottleneck = payload.get("bottleneck")
         try:
-            failure = payload.get("failure")
-            bottleneck = payload.get("bottleneck")
             return cls(
                 params=dict(payload["params"]),
                 metrics=dict(payload["metrics"]),
@@ -214,14 +288,38 @@ class ExplorationPoint:
                 failure=(failure or {}).get("message"),
                 bottleneck=(Bottleneck.from_dict(bottleneck)
                             if bottleneck is not None else None))
-        except (KeyError, TypeError) as error:
+        except (KeyError, TypeError, ValueError, AttributeError,
+                ConfigurationError) as error:
             raise SerializationError(
                 f"malformed exploration point: {error}") from error
 
 
-@dataclass
+#: One entry of a result's ordered point store: a single
+#: :class:`ExplorationPoint`, or a :class:`~repro.explore.block.PointBlock`
+#: of vector-evaluated rows.
+Segment = Union[ExplorationPoint, "PointBlock"]
+
+
+def _segment_points(segments: Sequence[Segment]) -> List[ExplorationPoint]:
+    points: List[ExplorationPoint] = []
+    for segment in segments:
+        if type(segment) is ExplorationPoint:
+            points.append(segment)
+        else:
+            points.extend(segment.points())
+    return points
+
+
 class ExplorationResult:
     """Everything one exploration produced, Pareto analysis included.
+
+    The points are held as an ordered list of *segments*: the vector
+    engine's column blocks (:class:`~repro.explore.block.PointBlock`)
+    and single :class:`ExplorationPoint` values (object-path and
+    infeasible points).  ``points`` builds the full point list on first
+    access and keeps it; the Pareto analysis and :meth:`to_json` read
+    the segments, so ranking and writing a document build no point
+    objects.  A result made from ``points=`` has one segment per point.
 
     ``resilience`` tallies the fault-tolerance events the run absorbed
     (``retries``/``timeouts``/``pool_rebuilds``/``quarantined`` — see
@@ -233,14 +331,45 @@ class ExplorationResult:
     all zeros.
     """
 
-    name: str
-    objectives: List[Metric]
-    options: SimOptions
-    points: List[ExplorationPoint]
-    resilience: Dict[str, int] = field(
-        default_factory=lambda: dict.fromkeys(RESILIENCE_COUNTERS, 0))
-    engines: Dict[str, int] = field(
-        default_factory=lambda: dict.fromkeys(ENGINE_COUNTERS, 0))
+    def __init__(self, name: str, objectives: List[Metric],
+                 options: SimOptions,
+                 points: Optional[List[ExplorationPoint]] = None,
+                 resilience: Optional[Dict[str, int]] = None,
+                 engines: Optional[Dict[str, int]] = None,
+                 *, segments: Optional[List[Segment]] = None):
+        if (points is None) == (segments is None):
+            raise ConfigurationError(
+                "an exploration result takes exactly one of points= "
+                "or segments=")
+        self.name = name
+        self.objectives = objectives
+        self.options = options
+        self._points = points
+        self._segments = points if segments is None else segments
+        self.resilience = resilience if resilience is not None \
+            else dict.fromkeys(RESILIENCE_COUNTERS, 0)
+        self.engines = engines if engines is not None \
+            else dict.fromkeys(ENGINE_COUNTERS, 0)
+
+    def __repr__(self) -> str:
+        return (f"ExplorationResult(name={self.name!r}, "
+                f"objectives={[o.name for o in self.objectives]}, "
+                f"points={len(self.points)})")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExplorationResult):
+            return NotImplemented
+        return (self.name, self.objectives, self.options, self.points,
+                self.resilience, self.engines) == (
+            other.name, other.objectives, other.options, other.points,
+            other.resilience, other.engines)
+
+    @property
+    def points(self) -> List[ExplorationPoint]:
+        """Every point, in space order (built on first access)."""
+        if self._points is None:
+            self._points = _segment_points(self._segments)
+        return self._points
 
     @property
     def goals(self) -> Tuple[str, ...]:
@@ -256,6 +385,18 @@ class ExplorationResult:
 
     # --- Pareto analysis --------------------------------------------------
 
+    def _vectors(self) -> List[Optional[Tuple[float, ...]]]:
+        """Each point's objective vector (None when infeasible)."""
+        vectors: List[Optional[Tuple[float, ...]]] = []
+        for segment in self._segments:
+            if type(segment) is not ExplorationPoint:
+                vectors.extend(segment.vectors(self.objectives))
+            elif segment.feasible:
+                vectors.append(segment.objective_vector(self.objectives))
+            else:
+                vectors.append(None)
+        return vectors
+
     def frontier_indices(self) -> List[int]:
         """Indices (into ``points``) of the Pareto frontier, in
         deterministic objective order."""
@@ -263,10 +404,12 @@ class ExplorationResult:
 
     def _frontier_from(self, ranks: List[Optional[int]]) -> List[int]:
         """The rank-0 indices, ordered like :func:`pareto_indices`."""
-        vectors = {index: self.points[index].objective_vector(
-            self.objectives) for index, rank in enumerate(ranks) if rank == 0}
-        return sorted(vectors, key=lambda index: (
-            _sort_key(vectors[index], self.goals), index))
+        vectors = self._vectors()
+        goals = self.goals
+        return sorted((index for index, rank in enumerate(ranks)
+                       if rank == 0),
+                      key=lambda index: (_sort_key(vectors[index], goals),
+                                         index))
 
     def frontier(self) -> List[ExplorationPoint]:
         """The non-dominated feasible points, deterministically ordered."""
@@ -274,21 +417,16 @@ class ExplorationResult:
 
     def dominance_ranks(self) -> List[Optional[int]]:
         """Per-point non-dominated-sorting rank (None for infeasible)."""
-        vectors = [point.objective_vector(self.objectives)
-                   for point in self.points if point.feasible]
-        local = iter(dominance_ranks(vectors, self.goals))
-        return [next(local) if point.feasible else None
-                for point in self.points]
+        vectors = self._vectors()
+        local = iter(dominance_ranks(
+            [vector for vector in vectors if vector is not None],
+            self.goals))
+        return [None if vector is None else next(local)
+                for vector in vectors]
 
     # --- serialization ----------------------------------------------------
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Versioned JSON-compatible payload (schema ``repro.explore/1``).
-
-        The frontier indices and dominance ranks are derived from the
-        points deterministically, so a round-tripped result re-emits the
-        identical document.
-        """
+    def _payload(self, points: Any) -> Dict[str, Any]:
         ranks = self.dominance_ranks()
         return {
             "schema": EXPLORATION_SCHEMA,
@@ -297,7 +435,7 @@ class ExplorationResult:
                             "unit": objective.unit}
                            for objective in self.objectives],
             "options": self.options.to_dict(),
-            "points": [point.to_dict() for point in self.points],
+            "points": points,
             "frontier": self._frontier_from(ranks),
             "ranks": ranks,
             "resilience": {key: int(self.resilience.get(key, 0))
@@ -306,9 +444,22 @@ class ExplorationResult:
                         for key in ENGINE_COUNTERS},
         }
 
+    def to_dict(self) -> Dict[str, Any]:
+        """Versioned JSON-compatible payload (schema ``repro.explore/1``).
+
+        The frontier indices and dominance ranks are derived from the
+        points deterministically, so a round-tripped result re-emits the
+        identical document.
+        """
+        return self._payload([point.to_dict() for point in self.points])
+
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ExplorationResult":
-        """Inverse of :meth:`to_dict` (frontier/ranks are recomputed)."""
+        """Inverse of :meth:`to_dict` (frontier/ranks are recomputed).
+
+        Raises :class:`SerializationError` for any payload that
+        :meth:`to_json` could not write back.
+        """
         if not isinstance(payload, dict):
             raise SerializationError(
                 f"exploration payload must be an object, "
@@ -318,15 +469,31 @@ class ExplorationResult:
                 f"expected schema {EXPLORATION_SCHEMA!r}, "
                 f"got {payload.get('schema')!r}")
         try:
-            objectives = [_metric_from_payload(raw)
-                          for raw in payload["objectives"]]
+            raw_objectives = payload["objectives"]
+            raw_points = payload["points"]
             options = SimOptions.from_dict(payload["options"])
-            points = [ExplorationPoint.from_dict(raw)
-                      for raw in payload["points"]]
             name = payload["name"]
         except KeyError as error:
             raise SerializationError(
                 f"exploration payload missing {error}") from error
+        for key, raw in (("objectives", raw_objectives),
+                         ("points", raw_points)):
+            if not isinstance(raw, list):
+                raise SerializationError(
+                    f"exploration {key} must be a list, "
+                    f"got {type(raw).__name__}")
+        objectives = [_metric_from_payload(raw) for raw in raw_objectives]
+        points = [ExplorationPoint.from_dict(raw) for raw in raw_points]
+        for index, point in enumerate(points):
+            if not point.feasible:
+                continue
+            for objective in objectives:
+                value = point.metrics.get(objective.name)
+                if not isinstance(value, (int, float)):
+                    raise SerializationError(
+                        f"feasible exploration point {index} needs a "
+                        f"number for objective {objective.name!r}, "
+                        f"got {value!r}")
         raw_resilience = payload.get("resilience") or {}
         resilience = {key: int(raw_resilience.get(key, 0))
                       for key in RESILIENCE_COUNTERS}
@@ -337,8 +504,19 @@ class ExplorationResult:
                    points=points, resilience=resilience, engines=engines)
 
     def to_json(self, indent: Optional[int] = 2) -> str:
-        """The result as a canonical JSON document."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        """The result as a canonical JSON document: exactly
+        ``json.dumps(self.to_dict(), indent=indent, sort_keys=True)``,
+        written from the segments (:mod:`repro.explore.document`)."""
+        from repro.explore.document import write_document
+        return write_document(self._payload(None), "points",
+                              self._row_runs(), indent)
+
+    def _row_runs(self) -> Iterator[Any]:
+        for segment in self._segments:
+            if type(segment) is ExplorationPoint:
+                yield segment.to_dict()
+            else:
+                yield from segment.runs()
 
     @classmethod
     def from_json(cls, document: str) -> "ExplorationResult":
@@ -581,7 +759,9 @@ def explore_stream(space: ParameterSpace,
     step = chunk_size if chunk_size is not None else max(total, 1)
     built_cache: Dict[tuple, Union[Design, CamJError]] = {}
     options_cache: Dict[tuple, SimOptions] = {}
-    points: List[ExplorationPoint] = []
+    segments: List[Segment] = []
+    streamed: List[ExplorationPoint] = []
+    completed = 0
     resilience = dict.fromkeys(RESILIENCE_COUNTERS, 0)
     engines = dict.fromkeys(ENGINE_COUNTERS, 0)
     # A session we created exists only for this exploration: release its
@@ -592,19 +772,23 @@ def explore_stream(space: ParameterSpace,
             if should_stop is not None and should_stop():
                 raise ExplorationInterrupted(
                     f"exploration {result_name!r} stopped after "
-                    f"{len(points)}/{total} points")
-            chunk_points, chunk_hits, chunk_resilience, chunk_engines = \
+                    f"{completed}/{total} points")
+            chunk_params = all_params[start:start + step]
+            chunk_segments, chunk_hits, chunk_resilience, chunk_engines = \
                 _run_chunk(
-                    all_params[start:start + step], build, base_options,
-                    built_cache, simulator, resolved_objectives, annotate,
-                    engine, options_cache)
-            points.extend(chunk_points)
+                    chunk_params, build, base_options, built_cache,
+                    simulator, resolved_objectives, annotate, engine,
+                    options_cache)
+            segments.extend(chunk_segments)
+            completed += len(chunk_params)
             for counter, count in chunk_resilience.items():
                 resilience[counter] += count
             for counter, count in chunk_engines.items():
                 engines[counter] += count
             if on_progress is not None:
-                on_progress(chunk_points, len(points), total, chunk_hits)
+                chunk_points = _segment_points(chunk_segments)
+                streamed.extend(chunk_points)
+                on_progress(chunk_points, completed, total, chunk_hits)
     except (KeyboardInterrupt, SystemExit):
         # Interrupted mid-exploration (Ctrl-C, SIGTERM): reclaim pool
         # workers without draining the remaining queue, so no process
@@ -615,10 +799,13 @@ def explore_stream(space: ParameterSpace,
         if owns_session:
             simulator.close()
 
-    return ExplorationResult(name=result_name,
-                             objectives=resolved_objectives,
-                             options=base_options, points=points,
-                             resilience=resilience, engines=engines)
+    result = ExplorationResult(name=result_name,
+                               objectives=resolved_objectives,
+                               options=base_options, segments=segments,
+                               resilience=resilience, engines=engines)
+    if on_progress is not None:
+        result._points = streamed  # built for the callbacks already
+    return result
 
 
 def _run_chunk(chunk_params: List[Dict[str, Any]],
@@ -630,7 +817,7 @@ def _run_chunk(chunk_params: List[Dict[str, Any]],
                annotate: bool,
                engine: str = "auto",
                options_cache: Optional[Dict[tuple, SimOptions]] = None,
-               ) -> Tuple[List[ExplorationPoint], int, Dict[str, int],
+               ) -> Tuple[List[Segment], int, Dict[str, int],
                           Dict[str, int]]:
     """Build, simulate, and evaluate one chunk of space points.
 
@@ -638,7 +825,7 @@ def _run_chunk(chunk_params: List[Dict[str, Any]],
     persists across chunks, so option-only sweeps build exactly one
     design no matter how finely the run is chunked (``options_cache``
     does the same for validated per-point option overrides).  Returns
-    the chunk's points (in input order), its result-cache hit count,
+    the chunk's segments (in input order), its result-cache hit count,
     the resilience counters its one ``run_many`` batch reported, and
     the engine counters (vector-evaluated vs object-fallback point
     counts).
@@ -708,17 +895,18 @@ def _run_chunk(chunk_params: List[Dict[str, Any]],
     # Phase 2a: the vector fast path takes eligible groups (same design
     # object, numeric-only variation) out of the object batch entirely.
     engines = dict.fromkeys(ENGINE_COUNTERS, 0)
-    vector_points: Dict[int, ExplorationPoint] = {}
+    claimed: set = set()
+    pieces: List[Tuple[int, Segment]] = []
     vector_hits = 0
     if engine != "object":
-        vector_points, vector_hits = _run_vector_groups(
+        claimed, pieces, vector_hits = _run_vector_groups(
             slots, simulator, objectives, annotate, engine)
-        engines["vectorized"] = len(vector_points)
+        engines["vectorized"] = len(claimed)
 
     # Phase 2b: one parallel, deduplicated batch over the buildable
     # points the vector path did not claim.
     job_indices = [index for index, (_, _, _, error) in enumerate(slots)
-                   if error is None and index not in vector_points]
+                   if error is None and index not in claimed]
     jobs = [(slots[index][1], slots[index][2]) for index in job_indices]
     results = simulator.run_many(jobs) if jobs else []
     if engine != "object":
@@ -735,40 +923,36 @@ def _run_chunk(chunk_params: List[Dict[str, Any]],
             for counter in RESILIENCE_COUNTERS:
                 resilience[counter] = getattr(stats, counter, 0)
 
-    # Phase 3: evaluate objectives and annotate.  When the vector path
-    # claimed the whole chunk (so no error slots existed either), the
-    # merge is a straight read-out.
-    if len(vector_points) == len(slots):
-        return [vector_points[index] for index in range(len(slots))], \
-            chunk_hits, resilience, engines
-    points: List[ExplorationPoint] = []
-    cursor = iter(results)
-    for index, (params, design, _, error) in enumerate(slots):
-        if error is not None:
-            points.append(ExplorationPoint(
-                params=params, failure_type=type(error).__name__,
-                failure=str(error)))
-            continue
-        if index in vector_points:
-            points.append(vector_points[index])
-            continue
-        points.append(_evaluate_point(params, design, next(cursor),
-                                      objectives, annotate))
-
-    return points, chunk_hits, resilience, engines
+    # Phase 3: evaluate objectives and annotate the rest, then merge
+    # everything back into space order.
+    if len(claimed) < len(slots):
+        cursor = iter(results)
+        for index, (params, design, _, error) in enumerate(slots):
+            if error is not None:
+                pieces.append((index, ExplorationPoint(
+                    params=params, failure_type=type(error).__name__,
+                    failure=str(error))))
+            elif index not in claimed:
+                pieces.append((index, _evaluate_point(
+                    params, design, next(cursor), objectives, annotate)))
+    pieces.sort(key=operator.itemgetter(0))
+    return [segment for _, segment in pieces], chunk_hits, resilience, \
+        engines
 
 
 def _run_vector_groups(slots, simulator: Simulator,
                        objectives: Sequence[Metric], annotate: bool,
                        engine: str
-                       ) -> Tuple[Dict[int, ExplorationPoint], int]:
+                       ) -> Tuple[set, List[Tuple[int, Segment]], int]:
     """Route eligible slot groups through the vector fast path.
 
     Groups slots by design identity (the built-design cache already
     collapses option-only sweeps onto one object) and hands each
     large-enough group to :func:`repro.explore.vector.evaluate_group`.
-    Returns the points it produced keyed by slot index, plus the
-    number of them served from the result cache.  Any group the
+    Returns the slot indices it evaluated, its segments as
+    ``(first slot index, segment)`` pairs — a block whose rows are not
+    adjacent slots is cut into runs that are — and the number of points
+    served from the result cache.  Any group the
     lowering rejects (:class:`VectorUnsupported`) is silently left for
     the object path — under ``engine="auto"`` that is the contract;
     under ``engine="vector"`` unsupported *objectives* were already
@@ -777,12 +961,14 @@ def _run_vector_groups(slots, simulator: Simulator,
     """
     from repro.explore import vector as vector_mod
 
+    claimed: set = set()
+    pieces: List[Tuple[int, Segment]] = []
     if vector_mod.vector_support_error(objectives) is not None:
-        return {}, 0
+        return claimed, pieces, 0
     if get_injector().active:
         # Fault injection hooks the object execution path; vectorized
         # evaluation would sidestep the injected faults.
-        return {}, 0
+        return claimed, pieces, 0
     groups: Dict[int, List[int]] = {}
     designs: Dict[int, Design] = {}
     for index, (_, design, point_options, error) in enumerate(slots):
@@ -791,7 +977,6 @@ def _run_vector_groups(slots, simulator: Simulator,
         groups.setdefault(id(design), []).append(index)
         designs[id(design)] = design
     min_points = 1 if engine == "vector" else vector_mod.VECTOR_MIN_POINTS
-    vector_points: Dict[int, ExplorationPoint] = {}
     hits = 0
     for design_id, indices in groups.items():
         if len(indices) < min_points:
@@ -799,14 +984,32 @@ def _run_vector_groups(slots, simulator: Simulator,
         design = designs[design_id]
         group = [(slots[index][0], slots[index][2]) for index in indices]
         try:
-            group_points, group_hits = vector_mod.evaluate_group(
+            group_pieces, group_hits = vector_mod.evaluate_group(
                 simulator, design, group, objectives, annotate)
         except VectorUnsupported:
             continue
-        for index, point in zip(indices, group_points):
-            vector_points[index] = point
+        claimed.update(indices)
+        for positions, segment in group_pieces:
+            _place(pieces, [indices[position] for position in positions],
+                   segment)
         hits += group_hits
-    return vector_points, hits
+    return claimed, pieces, hits
+
+
+def _place(pieces: List[Tuple[int, Segment]], slot_indices: List[int],
+           segment: Segment) -> None:
+    """Add ``segment`` at its (ascending) slot indices, cutting a block
+    at every gap."""
+    if type(segment) is ExplorationPoint \
+            or slot_indices[-1] - slot_indices[0] == len(slot_indices) - 1:
+        pieces.append((slot_indices[0], segment))
+        return
+    start = 0
+    for row in range(1, len(slot_indices) + 1):
+        if row == len(slot_indices) \
+                or slot_indices[row] != slot_indices[row - 1] + 1:
+            pieces.append((slot_indices[start], segment.slice(start, row)))
+            start = row
 
 
 def _evaluate_point(params: Dict[str, Any], design: Design,

@@ -19,7 +19,9 @@ at once:
    build one :class:`EnergyReport` whose energies and rates are columns
    (:mod:`repro.columns`);
 4. each ``elementwise`` metric's single extractor reads its column off
-   that report.
+   that report, and the group's feasible rows go to the exploration
+   result as one :class:`~repro.explore.block.PointBlock` — params,
+   metric columns and bottleneck columns, no point object per row.
 
 Equivalence contract: every float operation sequence of the scalar
 engine is replayed element-wise, so vector-evaluated points are
@@ -37,14 +39,15 @@ result cache first (hits counted, misses counted), and what the group
 computed goes back to the cache.  The feasible rows are published as
 one column block (:class:`~repro.api.result.ResultBlock`, through
 :meth:`Simulator.offer_results`): the group's options, its column
-report, its timing columns.  Its points are read off that block, and a
-later group whose keys are block rows is read off it the same way —
-metrics re-extracted column-wise, bottlenecks ranked column-wise, both
-gathered by row — without building a :class:`SimResult` per point.  A
-scalar :meth:`Simulator.run` or object-path probe of a block row
-materializes that one result.  Failed points are small and are offered
-as plain results (:meth:`Simulator.offer_result`), cached under the
-object path's rule.
+report, its timing columns.  The group's :class:`PointBlock` is read off
+that block, and a later group whose keys are block rows is read off it
+the same way — metrics re-extracted column-wise, bottlenecks ranked
+column-wise, both gathered by row — without building a
+:class:`SimResult` or an :class:`ExplorationPoint` per point.  A scalar
+:meth:`Simulator.run` or object-path probe of a block row materializes
+that one result.  Failed points are small: they are offered as plain
+results (:meth:`Simulator.offer_result`), cached under the object path's
+rule, and handed back as single :class:`ExplorationPoint` values.
 """
 
 from __future__ import annotations
@@ -63,8 +66,9 @@ from repro.energy.comm_model import communication_energy
 from repro.energy.digital_model import digital_energy
 from repro.energy.report import Category, EnergyReport
 from repro.exceptions import CamJError, VectorUnsupported
-from repro.explore.annotate import _HINTS, Bottleneck
-from repro.explore.engine import ExplorationPoint, _evaluate_point
+from repro.explore.annotate import _HINTS
+from repro.explore.block import PointBlock
+from repro.explore.engine import ExplorationPoint, Segment, _evaluate_point
 from repro.explore.metrics import Metric
 from repro.hw.analog.array import AnalogArray
 from repro.hw.analog.cells import DynamicCell, NonLinearCell, StaticCell
@@ -81,6 +85,9 @@ from repro.sim.simulator import _run_pass
 #: small sweeps (and their tests) expect.  ``engine="vector"`` ignores
 #: the bound and vectorizes any group it can.
 VECTOR_MIN_POINTS = 4
+
+#: One evaluated piece of a group: its group positions and their segment.
+Piece = Tuple[List[int], Segment]
 
 _LOWERED_LIMIT = 128
 #: Content hashes of the designs the screen admitted, most recent last.
@@ -166,84 +173,54 @@ def _error_point(params: Dict[str, Any], design: Design,
                             failure=str(error))
 
 
-def _new_point(params: Dict[str, Any], metrics: Dict[str, float],
-               design_name: str, design_hash: Optional[str],
-               bottleneck: Optional[Bottleneck]) -> ExplorationPoint:
-    """A feasible :class:`ExplorationPoint`, built without the frozen
-    dataclass ``__init__`` (one ``object.__setattr__`` per field is the
-    single largest per-point cost at 10k+ points).  Every field is set
-    explicitly; equality, hashing, and serialization are unaffected."""
-    point = object.__new__(ExplorationPoint)
-    point.__dict__.update(params=params, metrics=metrics,
-                          design_name=design_name, design_hash=design_hash,
-                          failure_type=None, failure=None,
-                          bottleneck=bottleneck, report=None)
-    return point
-
-
-def _new_bottleneck(name: str, category: Category, energy: float,
-                    share: float, hint: str) -> Bottleneck:
-    """A :class:`Bottleneck` built the same fast way as :func:`_new_point`."""
-    bottleneck = object.__new__(Bottleneck)
-    bottleneck.__dict__.update(name=name, category=category, energy=energy,
-                               share=share, hint=hint)
-    return bottleneck
-
-
-def _vector_bottlenecks(report: EnergyReport, size: int
-                        ) -> List[Optional[Bottleneck]]:
-    """Per-point top energy bottleneck, mirroring identify_bottlenecks.
+def _vector_bottlenecks(report: EnergyReport, size: int,
+                        rows: Optional[List[int]]):
+    """Per-point top energy bottleneck, mirroring identify_bottlenecks,
+    as :class:`PointBlock` columns ``(causes, top, energy, share)`` of
+    ``rows`` (None: every row, in order).
 
     The scalar ranking sorts (name, category) component totals by
     energy, descending and stable, and takes the head — equivalent to
     the first maximum in entry-insertion order, which is what a
-    column-stacked argmax yields.
+    column-stacked argmax yields.  A row whose total energy is not
+    positive has no bottleneck (``top`` None).
     """
-    total = _column(report.total_energy, size)
+    count = size if rows is None else len(rows)
     groups: "OrderedDict[Tuple[str, Category], Any]" = OrderedDict()
     for entry in report.entries:
         key = (entry.name, entry.category)
         groups[key] = groups.get(key, 0.0) + entry.energy
     if not groups:
-        return [None] * size
+        return (), [None] * count, [0.0] * count, [0.0] * count
     keys = list(groups)
     matrix = np.vstack([_column(groups[key], size) for key in keys])
     top = matrix.argmax(axis=0)
     top_energy = matrix[top, np.arange(size)]
+    total = _column(report.total_energy, size)
     share = np.zeros(size)
     positive = total > 0.0
     np.divide(top_energy, total, out=share, where=positive)
+    if rows is not None:
+        top, top_energy, share, positive = \
+            top[rows], top_energy[rows], share[rows], positive[rows]
     top_list = top.tolist()
-    energy_list = top_energy.tolist()
-    share_list = share.tolist()
-    # Pre-resolve per-component hints so the per-point loop never
-    # hashes a Category enum.
-    hinted = [key + (_HINTS[key[1]],) for key in keys]
-    if positive.all():
-        return [_new_bottleneck(hinted[top][0], hinted[top][1],
-                                energy_list[i], share_list[i],
-                                hinted[top][2])
-                for i, top in enumerate(top_list)]
-    positive_list = positive.tolist()
-    out: List[Optional[Bottleneck]] = []
-    for i in range(size):
-        if not positive_list[i]:
-            out.append(None)
-            continue
-        name, category, hint = hinted[top_list[i]]
-        out.append(_new_bottleneck(name, category, energy_list[i],
-                                   share_list[i], hint))
-    return out
+    if not positive.all():
+        top_list = [cause if keep else None
+                    for cause, keep in zip(top_list, positive.tolist())]
+    causes = [key + (_HINTS[key[1]],) for key in keys]
+    return causes, top_list, top_energy.tolist(), share.tolist()
 
 
 def evaluate_group(simulator: Simulator, design: Design,
                    group: List[Tuple[Dict[str, Any], SimOptions]],
                    objectives: Sequence[Metric],
-                   annotate: bool) -> Tuple[List[ExplorationPoint], int]:
+                   annotate: bool) -> Tuple[List[Piece], int]:
     """Evaluate one same-design group of points on the vector path.
 
-    ``group`` holds ``(params, options)`` pairs.  Returns the points in
-    group order plus the result-cache hit count.  Raises
+    ``group`` holds ``(params, options)`` pairs.  Returns the group's
+    points as ``(group positions, segment)`` pieces — a
+    :class:`PointBlock` of feasible rows, or one
+    :class:`ExplorationPoint` — plus the result-cache hit count.  Raises
     :class:`VectorUnsupported` — before any cache probe or pass runs —
     when the design fails the screen; the caller falls back to the
     object path with no counters disturbed.
@@ -252,24 +229,25 @@ def evaluate_group(simulator: Simulator, design: Design,
     # Eligibility first: the screen inspects only the system, so an
     # unsupported design escapes here with zero observable side effects.
     _screen_design(design, design_hash)
-    points: List[Optional[ExplorationPoint]] = [None] * len(group)
+    pieces: List[Piece] = []
     hits = _evaluate_screened(simulator, design, design_hash, group,
-                              objectives, annotate, points)
-    return points, hits
+                              objectives, annotate, pieces)
+    return pieces, hits
 
 
 def _evaluate_screened(simulator: Simulator, design: Design,
                        design_hash: Optional[str],
                        group: List[Tuple[Dict[str, Any], SimOptions]],
                        objectives: Sequence[Metric], annotate: bool,
-                       points: List[Optional[ExplorationPoint]]) -> int:
-    """Fill ``points``; returns how many the result cache served."""
+                       pieces: List[Piece]) -> int:
+    """Fill ``pieces``; returns how many the result cache served."""
 
     def fail(indices: Sequence[int], error: CamJError) -> None:
         # A failure is cached under run()'s rule (permanent ones only).
         for i in indices:
             params, options = group[i]
-            points[i] = _error_point(params, design, design_hash, error)
+            pieces.append(([i], _error_point(params, design, design_hash,
+                                             error)))
             if design_hash is not None:
                 simulator.offer_result((design_hash, options), SimResult(
                     design_name=design.name, options=options,
@@ -297,11 +275,11 @@ def _evaluate_screened(simulator: Simulator, design: Design,
                 positions.append(i)
                 rows.append(row)
             else:
-                points[i] = _evaluate_point(group[i][0], design, hit,
-                                            objectives, annotate)
+                pieces.append(([i], _evaluate_point(
+                    group[i][0], design, hit, objectives, annotate)))
         for block, positions, rows in served.values():
-            _read_block(block, design, group, positions, rows, objectives,
-                        annotate, points)
+            pieces.extend(_read_block(block, design, group, positions,
+                                      rows, objectives, annotate))
         hits = len(group) - len(pending)
         if not pending:
             return hits
@@ -415,49 +393,48 @@ def _evaluate_screened(simulator: Simulator, design: Design,
                         options=[group[i][1] for i in feasible_survivors],
                         report=report)
     simulator.offer_results(block)
-    _read_block(block, design, group, feasible_survivors,
-                list(range(len(block))), objectives, annotate, points)
+    pieces.extend(_read_block(block, design, group, feasible_survivors,
+                              None, objectives, annotate))
     return hits
 
 
 def _read_block(block: ResultBlock, design: Design,
                 group: List[Tuple[Dict[str, Any], SimOptions]],
-                positions: List[int], rows: List[int],
-                objectives: Sequence[Metric], annotate: bool,
-                points: List[Optional[ExplorationPoint]]) -> None:
-    """Points of the group ``positions`` served by the block's ``rows``.
+                positions: List[int], rows: Optional[List[int]],
+                objectives: Sequence[Metric],
+                annotate: bool) -> List[Piece]:
+    """The pieces of the group ``positions`` served by the block's
+    ``rows`` (None: every row, in order).
 
     Metrics and bottlenecks are computed column-wise over the whole
-    block, then gathered by row.  A failing metric is design-wide here
-    (per-point metric failures cannot arise from the built-in
-    extractors), so it fails every served point with the object path's
-    message — the simulation itself succeeded, which is why the block
-    is cached.
+    block, then gathered by row into one :class:`PointBlock`.  A failing
+    metric is design-wide here (per-point metric failures cannot arise
+    from the built-in extractors), so it fails every served point with
+    the object path's message — the simulation itself succeeded, which
+    is why the block is cached.
     """
     size = len(block)
     report = block.report
-    design_name = design.name
-    design_hash = block.design_hash
-    in_order = rows == list(range(size))
-    columns: List[List[float]] = []
+    if rows == list(range(size)):
+        rows = None
+    metrics: List[List[float]] = []
     for objective in objectives:
         try:
             raw = objective.extract(design, report)
         except CamJError as error:
             failure = f"metric {objective.name!r}: {error}"
             failure_type = type(error).__name__
-            for i in positions:
-                points[i] = ExplorationPoint(
-                    params=group[i][0], design_name=design_name,
-                    design_hash=design_hash,
-                    failure_type=failure_type, failure=failure)
-            return
+            return [([i], ExplorationPoint(
+                params=group[i][0], design_name=design.name,
+                design_hash=block.design_hash, failure_type=failure_type,
+                failure=failure)) for i in positions]
         values = _column(raw, size)
-        columns.append((values if in_order else values[rows]).tolist())
-    bottlenecks: List[Optional[Bottleneck]] = [None] * size
+        metrics.append((values if rows is None else values[rows]).tolist())
+    columns: Dict[str, Any] = {}
     if annotate:
-        bottlenecks = _vector_bottlenecks(report, size)
-    metric_names = tuple(objective.name for objective in objectives)
-    for i, row, metrics in zip(positions, rows, zip(*columns)):
-        points[i] = _new_point(group[i][0], dict(zip(metric_names, metrics)),
-                               design_name, design_hash, bottlenecks[row])
+        columns = dict(zip(("causes", "top", "energy", "share"),
+                           _vector_bottlenecks(report, size, rows)))
+    return [(positions, PointBlock(
+        [group[i][0] for i in positions], design.name, block.design_hash,
+        tuple(objective.name for objective in objectives), metrics,
+        **columns))]

@@ -1,12 +1,16 @@
 """Tests for the persistent (disk) tier of the simulator result cache."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.api import SimOptions, Simulator
+from repro.api import SimOptions, Simulator, diskcache
 from repro.api.diskcache import (
     DISK_CACHE_SCHEMA,
     DiskResultCache,
@@ -56,6 +60,47 @@ class TestDiskCacheRoundTrip:
         cache.put(design.content_hash, result.options, result)
         assert cache.get(design.content_hash,
                          SimOptions(frame_rate=60.0)) is None
+
+    def test_model_fingerprint_is_part_of_the_key(self, tmp_path,
+                                                  monkeypatch):
+        """An entry written by other model code is a miss."""
+        cache = DiskResultCache(tmp_path)
+        design = build_fig5_design()
+        result = Simulator(cache=False).run(design)
+        current = diskcache.model_fingerprint()
+        monkeypatch.setattr(diskcache, "model_fingerprint",
+                            lambda: "0" * 64)
+        assert cache.put(design.content_hash, result.options, result)
+        assert cache.get(design.content_hash, result.options) is not None
+        monkeypatch.setattr(diskcache, "model_fingerprint", lambda: current)
+        assert cache.get(design.content_hash, result.options) is None
+        assert len(_entry_files(cache)) == 1
+
+    def test_model_fingerprint_covers_the_model_sources(self):
+        diskcache.model_fingerprint.cache_clear()
+        fingerprint = diskcache.model_fingerprint()
+        assert len(fingerprint) == 64
+        assert diskcache.model_fingerprint() == fingerprint
+        root = Path(diskcache.__file__).resolve().parent.parent
+        for name in diskcache.MODEL_SOURCES:
+            assert (root / name).exists(), name
+
+    def test_model_fingerprint_is_lazy(self, tmp_path):
+        """Importing repro and running without a disk tier never hash
+        the model sources; the first disk probe does."""
+        code = (
+            "import repro\n"
+            "from repro.api import Simulator, diskcache\n"
+            "from repro.usecases.fig5 import build_fig5_design\n"
+            "fingerprints = diskcache.model_fingerprint.cache_info\n"
+            "Simulator(cache_dir=None).run(build_fig5_design())\n"
+            "assert fingerprints().misses == 0, fingerprints()\n"
+            f"Simulator(cache_dir={str(tmp_path)!r}).run("
+            "build_fig5_design())\n"
+            "assert fingerprints().misses == 1, fingerprints()\n")
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith("REPRO_")}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
     def test_unknown_error_type_degrades_to_camjerror(self, tmp_path):
         """A persisted failure type later renamed still unwraps."""

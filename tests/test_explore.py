@@ -4,8 +4,10 @@ import json
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.api import SimOptions, Simulator
+from repro.api import SimOptions, Simulator, build_usecase
+from repro.energy.report import Category
 from repro.exceptions import ConfigurationError, SerializationError
 from repro.explore import (
     ExplorationResult,
@@ -15,6 +17,7 @@ from repro.explore import (
     dominance_ranks,
     dominates,
     explore,
+    explore_stream,
     exploration_spec_from_dict,
     grid,
     linspace,
@@ -26,6 +29,9 @@ from repro.explore import (
     space_from_dict,
     zipped,
 )
+from repro.explore.annotate import Bottleneck
+from repro.explore.block import PointBlock
+from repro.explore.engine import ExplorationPoint
 from repro.usecases.fig5 import build_fig5_design
 
 
@@ -595,3 +601,250 @@ class TestShims:
 
         assert Bottleneck is Moved
         assert callable(identify_bottlenecks)
+
+
+# --- the document writer against json.dumps -------------------------------
+
+#: Text that stresses the writer: format directives, quotes, escapes,
+#: NUL (the row templates' hole marker starts with it), hole-like text,
+#: non-ASCII and line separators.
+_TRICKY = st.sampled_from(["%", "%s", "%%d", '"', "\\", "\x00", "\x000",
+                           "\x0012", '"\\u00001"', "é", "☃", " ",
+                           "\n", "a", "b"])
+_TEXT = st.one_of(st.lists(_TRICKY, max_size=3).map("".join),
+                  st.text(max_size=5))
+_NAME = _TEXT.filter(bool)
+_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+_SCALAR = st.one_of(st.booleans(), st.integers(-10 ** 20, 10 ** 20), _FLOAT,
+                    _TEXT, st.none())
+#: A list-valued param forces its row onto the json.dumps fallback.
+_PARAM = st.one_of(_SCALAR, _SCALAR, _SCALAR,
+                   st.lists(_SCALAR, min_size=1, max_size=2))
+
+
+def _oracle(result, indent):
+    """The document formula the writer replaces."""
+    return json.dumps(result.to_dict(), indent=indent, sort_keys=True)
+
+
+@st.composite
+def _bottlenecks(draw):
+    return Bottleneck(name=draw(_TEXT),
+                      category=draw(st.sampled_from(list(Category))),
+                      energy=draw(_FLOAT), share=draw(_FLOAT),
+                      hint=draw(_TEXT))
+
+
+@st.composite
+def _segments(draw, names, keys):
+    """A vector block, a feasible object-path point or an infeasible one;
+    params mostly share ``keys``, sometimes with a key of their own."""
+    def params():
+        row = {key: draw(_PARAM) for key in keys}
+        if draw(st.integers(0, 5)) == 0:
+            row[draw(_TEXT)] = draw(_PARAM)
+        return row
+
+    kind = draw(st.sampled_from(["block", "point", "infeasible"]))
+    design = draw(_TEXT)
+    design_hash = draw(st.one_of(st.none(), _TEXT))
+    if kind == "block":
+        size = draw(st.integers(1, 4))
+        causes = [(draw(_TEXT), draw(st.sampled_from(list(Category))),
+                   draw(_TEXT)) for _ in range(draw(st.integers(1, 2)))]
+        annotated = draw(st.booleans())
+        return PointBlock(
+            [params() for _ in range(size)], design, design_hash,
+            tuple(names),
+            [[draw(_FLOAT) for _ in range(size)] for _ in names],
+            causes if annotated else (),
+            [draw(st.one_of(st.none(), st.integers(0, len(causes) - 1)))
+             for _ in range(size)] if annotated else None,
+            [draw(_FLOAT) for _ in range(size)] if annotated else None,
+            [draw(_FLOAT) for _ in range(size)] if annotated else None)
+    if kind == "point":
+        return ExplorationPoint(
+            params=params(), metrics={name: draw(_FLOAT) for name in names},
+            design_name=design, design_hash=design_hash,
+            bottleneck=draw(st.one_of(st.none(), _bottlenecks())))
+    return ExplorationPoint(
+        params=params(), design_name=draw(st.one_of(st.none(), _TEXT)),
+        design_hash=design_hash, failure_type=draw(st.one_of(st.none(),
+                                                             _TEXT)),
+        failure=draw(_TEXT))
+
+
+@st.composite
+def _results(draw):
+    names = draw(st.lists(_NAME, max_size=3, unique=True))
+    keys = draw(st.lists(_TEXT, max_size=3, unique=True))
+    objectives = [Metric(name=name, unit=draw(_TEXT),
+                         extract=lambda design, report: 0.0,
+                         goal=draw(st.sampled_from(["min", "max"])))
+                  for name in names]
+    segments = draw(st.lists(_segments(names, keys), max_size=5))
+    return ExplorationResult(
+        name=draw(_TEXT), objectives=objectives,
+        options=SimOptions(frame_rate=draw(st.floats(1.0, 1e6))),
+        segments=segments,
+        resilience={"retries": draw(st.integers(0, 3))},
+        engines={"vectorized": draw(st.integers(0, 9))})
+
+
+class TestDocumentWriter:
+    """``to_json`` writes ``json.dumps(to_dict(), indent, sort_keys)``
+    byte for byte, without calling it on the document."""
+
+    INDENTS = (None, 0, 2, 4)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_results())
+    def test_matches_json_dumps(self, result):
+        for indent in self.INDENTS:
+            assert result.to_json(indent) == _oracle(result, indent)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_results())
+    def test_matches_json_dumps_after_a_round_trip(self, result):
+        """Loaded documents (non-finite metrics as NaN/Infinity) are
+        point segments; they write the same bytes as the blocks did."""
+        document = result.to_json()
+        again = ExplorationResult.from_json(document)
+        assert again.to_json() == document
+        for indent in self.INDENTS:
+            assert again.to_json(indent) == _oracle(again, indent)
+
+    def test_real_mixed_exploration(self):
+        """Vector blocks cut by an outer frame-rate axis, frame-budget
+        failures inside them, a builder failure, and an object-path
+        group too small to vectorize."""
+        def builder(placement):
+            if placement == "bogus":
+                raise ConfigurationError("no such placement")
+            return build_usecase("edgaze", placement=placement,
+                                 cis_node=65)
+
+        space = product(choice("options.frame_rate",
+                               [30.0, 240.0, 1e5, 1e7]),
+                        choice("placement", ["2D-In", "bogus", "3D-In"]))
+        small = choice("options.frame_rate", [30.0, 1e7])
+        with Simulator() as sim:
+            mixed = explore(space, builder, simulator=sim, name="mix%s")
+            annotated_small = explore(small, build_fig5_design,
+                                      simulator=sim)
+            plain = explore(space, builder, simulator=sim, annotate=False)
+        assert mixed.engines == {"vectorized": 8, "fallback": 0}
+        for result in (mixed, annotated_small, plain):
+            for indent in self.INDENTS:
+                assert result.to_json(indent) == _oracle(result, indent)
+
+    def test_hole_like_param_keys_fall_back(self):
+        """A param key that reads as a hole marker keeps its rows on the
+        json.dumps path — and the bytes right."""
+        block = PointBlock([{"\x000": 1.5, "x": "y"}] * 2, "d", None,
+                           ("m",), [[1.0, 2.0]])
+        result = ExplorationResult(
+            name="holes", objectives=[Metric("m", "", lambda d, r: 0.0)],
+            options=SimOptions(), segments=[block])
+        for indent in self.INDENTS:
+            assert result.to_json(indent) == _oracle(result, indent)
+
+    def test_points_build_lazily_and_match_segments(self):
+        result = explore(
+            product(choice("placement", ["2D-In", "3D-In"]),
+                    linspace("options.frame_rate", 15.0, 120.0, 5)),
+            "edgaze")
+        assert result._points is None
+        result.to_json()
+        assert result._points is None
+        points = result.points
+        assert result.points is points and len(points) == 10
+        assert [point.to_dict() for point in points] \
+            == result.to_dict()["points"]
+
+
+# --- malformed documents ----------------------------------------------------
+
+def _malformed_documents():
+    """Name -> a repro.explore/1 payload that must not load."""
+    with Simulator() as sim:
+        base = explore(choice("options.frame_rate", [30.0, 60.0]),
+                       build_fig5_design, simulator=sim).to_dict()
+
+    def edited(edit):
+        payload = json.loads(json.dumps(base))
+        edit(payload)
+        return payload
+
+    def drop_metric(payload):
+        del payload["points"][0]["metrics"]["latency"]
+
+    return {
+        "points not a list": edited(
+            lambda payload: payload.update(points=5)),
+        "point not an object": edited(
+            lambda payload: payload.update(points=[5])),
+        "failure not an object": edited(
+            lambda payload: payload["points"][0].update(failure="boom")),
+        "objectives not a list": edited(
+            lambda payload: payload.update(objectives=5)),
+        "feasible point lacks an objective": edited(drop_metric),
+        "metric not a number": edited(
+            lambda payload: payload["points"][0]["metrics"].update(
+                latency="fast")),
+    }
+
+
+_MALFORMED = _malformed_documents()
+
+
+class TestMalformedDocuments:
+    """Every loader raises SerializationError, never a bare TypeError,
+    AttributeError or KeyError (now or at the next to_json)."""
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_from_dict(self, case):
+        with pytest.raises(SerializationError):
+            ExplorationResult.from_dict(_MALFORMED[case])
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_from_json(self, case):
+        with pytest.raises(SerializationError):
+            ExplorationResult.from_json(json.dumps(_MALFORMED[case]))
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_load(self, case, tmp_path):
+        path = tmp_path / "exploration.json"
+        path.write_text(json.dumps(_MALFORMED[case]))
+        with pytest.raises(SerializationError):
+            ExplorationResult.load(path)
+
+    def test_infeasible_point_needs_no_metrics(self):
+        payload = json.loads(json.dumps(_MALFORMED["points not a list"]))
+        with Simulator() as sim:
+            payload["points"] = explore(
+                choice("options.frame_rate", [1e7]), build_fig5_design,
+                simulator=sim).to_dict()["points"]
+        again = ExplorationResult.from_dict(payload)
+        assert not again.points[0].feasible
+        assert again.to_json() == _oracle(again, 2)
+
+
+class TestStreamedPoints:
+    def test_progress_points_are_the_result_points(self):
+        """Chunks built for on_progress are the result's points, not
+        rebuilt, and its document is the same as without a callback."""
+        space = product(choice("placement", ["2D-In", "3D-In"]),
+                        linspace("options.frame_rate", 15.0, 120.0, 6))
+        seen = []
+        with Simulator() as sim:
+            streamed = explore_stream(
+                space, "edgaze", simulator=sim, chunk_size=6,
+                on_progress=lambda points, *counts: seen.extend(points))
+            plain = explore(space, "edgaze", simulator=sim)
+        assert len(seen) == 12
+        assert all(a is b for a, b in zip(streamed.points, seen))
+        assert streamed.to_json() == plain.to_json()
+        assert streamed.points == plain.points

@@ -156,3 +156,84 @@ class TestUseCaseGoldens:
             115.2 * units.uJ, rel=0.05)
         assert run_edgaze_mixed(130).total_energy == pytest.approx(
             137.4 * units.uJ, rel=0.05)
+
+
+# --- repro.explore/1 documents ----------------------------------------------
+
+_OBJECTIVES = ("energy_per_frame", "power_density", "latency")
+
+
+def _canary_document():
+    """perfbench's explore canary: a 128-point grid on the vector path."""
+    from repro.explore import choice, explore, linspace, product
+    space = product(
+        choice("placement", ["2D-In", "2D-Off", "3D-In", "3D-In-STT"]),
+        choice("cis_node", [130, 65]),
+        linspace("options.frame_rate", 15.0, 480.0, 16))
+    with Simulator() as simulator:
+        return explore(space, "edgaze", objectives=_OBJECTIVES,
+                       simulator=simulator).to_json()
+
+
+def _example_document():
+    """``examples/explore_edgaze.json``: eight designs, object path."""
+    from repro.explore import load_exploration_spec
+    spec = load_exploration_spec(Path(__file__).parent.parent / "examples"
+                                 / "explore_edgaze.json")
+    with Simulator() as simulator:
+        return spec.run(simulator).to_json()
+
+
+def _mixed_document():
+    """Vector groups whose fastest frame rates miss the frame budget,
+    interleaved by the outer frame-rate axis, a builder failure, and no
+    bottleneck annotation."""
+    from repro.exceptions import ConfigurationError
+    from repro.explore import choice, explore, product
+
+    def builder(placement, cis_node):
+        if placement == "bogus":
+            raise ConfigurationError("no such placement: 'bogus'")
+        return build_usecase("edgaze", placement=placement,
+                             cis_node=cis_node)
+
+    space = product(choice("options.frame_rate", [30.0, 240.0, 1e5, 1e7]),
+                    choice("placement", ["2D-In", "bogus", "3D-In"]),
+                    choice("cis_node", [65]))
+    with Simulator() as simulator:
+        return explore(space, builder, objectives=_OBJECTIVES,
+                       simulator=simulator, name="mixed",
+                       annotate=False).to_json()
+
+
+def _robust_document():
+    """The ``result`` of a robust explore spec (p90 over 3 samples)."""
+    from repro.robust import robust_spec_from_dict
+    spec = robust_spec_from_dict({
+        "kind": "explore", "usecase": "edgaze",
+        "space": {"product": [{"name": "placement",
+                               "values": ["2D-In", "3D-In"]},
+                              {"name": "cis_node", "values": [130, 65]}]},
+        "variation": {"sigma": {"memory.leakage_power": 0.1,
+                                "analog.vdda": 0.02}},
+        "statistic": "p90", "samples": 3, "seed": 5})
+    with Simulator() as simulator:
+        return spec.run(simulator).to_json()
+
+
+_EXPLORE_DOCUMENTS = {
+    "explore canary": _canary_document,
+    "explore example": _example_document,
+    "explore mixed": _mixed_document,
+    "explore robust": _robust_document,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXPLORE_DOCUMENTS))
+def test_explore_document_digest(name):
+    """SHA-256 of a ``repro.explore/1`` document as ``to_json()`` writes
+    it (indent 2, sorted keys): the writer's bytes are pinned, not just
+    the values they encode."""
+    document = _EXPLORE_DOCUMENTS[name]()
+    digest = hashlib.sha256(document.encode("utf-8")).hexdigest()
+    assert digest == json.loads(_DIGESTS.read_text())[name], digest
