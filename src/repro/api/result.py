@@ -11,7 +11,8 @@ typed failure, so batch consumers (sweeps, the CLI) no longer hand-roll
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Optional
 
 from repro.columns import element
@@ -75,7 +76,7 @@ class SimOptions:
 
     def replace(self, **changes: Any) -> "SimOptions":
         """A copy with some fields changed."""
-        return replace(self, **changes)
+        return type(self)(**{**self.to_dict(), **changes})
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-compatible form (the ``options`` block of a spec file)."""
@@ -206,13 +207,14 @@ class ResultBlock:
     #: Row -> the options that row was evaluated under.
     options: List[SimOptions]
     report: EnergyReport
-    #: Options -> row (the inverse of ``options``).
-    rows: Dict[SimOptions, int] = field(init=False, repr=False)
     #: Rows already written to a disk tier (the session keeps this).
     persisted: set = field(default_factory=set, init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        self.rows = {options: row for row, options in enumerate(self.options)}
+    @cached_property
+    def rows(self) -> Dict[SimOptions, int]:
+        """Options -> row (the inverse of ``options``), built on the
+        first probe."""
+        return {options: row for row, options in enumerate(self.options)}
 
     def __len__(self) -> int:
         return len(self.options)

@@ -5,8 +5,8 @@ of hand-rolled loops):
 
 * **parameter spaces** (:mod:`repro.explore.space`) — declarative axes
   (:func:`choice`, :func:`linspace`, :func:`grid`), combinators
-  (:func:`product`, :func:`zipped`, ``space.filter(...)``), all lazily
-  enumerated and JSON-serializable;
+  (:func:`product`, :func:`zipped`, ``space.filter(...)``), all
+  enumerated as columns and JSON-serializable;
 * **metrics** (:mod:`repro.explore.metrics`) — a registry of named
   objective extractors computed uniformly from simulation output;
 * **the engine** (:mod:`repro.explore.engine`) — :func:`explore` runs a

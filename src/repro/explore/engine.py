@@ -1,10 +1,11 @@
 """The exploration engine: spaces in, Pareto-analyzed results out.
 
-:func:`explore` enumerates a :class:`~repro.explore.space.ParameterSpace`,
-binds each point into a design builder (a callable or a registered
-use-case name), runs the whole batch through
+:func:`explore` reads a :class:`~repro.explore.space.ParameterSpace` as
+columns, groups its points by their builder values, builds each group's
+design once (a callable or a registered use-case name), runs each group
+on the vector path (:mod:`repro.explore.vector`) or through
 :meth:`repro.api.Simulator.run_many` — cached, deduplicated, parallel —
-and evaluates the requested objective :class:`~repro.explore.metrics.Metric`
+and evaluates the objective :class:`~repro.explore.metrics.Metric` values
 on every feasible point.  Points whose builder, simulation, or metric
 extraction fails with a framework error stay in the result as typed
 infeasible points: infeasibility boundaries are data, not crashes.
@@ -21,7 +22,9 @@ import json
 import math
 import operator
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -622,16 +625,53 @@ def _as_design(built: BuilderResult) -> Design:
     return Design(stages, system, mapping)
 
 
-def _split_plan(names: Tuple[str, ...]) -> Tuple[tuple, tuple, tuple]:
-    """Split plan for one key-set: builder names, full and short
-    (prefix-stripped) option-override names."""
-    build_names = tuple(name for name in names
-                        if not name.startswith(OPTIONS_PREFIX))
-    override_full = tuple(name for name in names
-                          if name.startswith(OPTIONS_PREFIX))
-    override_short = tuple(name[len(OPTIONS_PREFIX):]
-                           for name in override_full)
-    return build_names, override_full, override_short
+class _SpaceColumns:
+    """A space's columns, split once into builder and ``options.`` ones."""
+
+    def __init__(self, space: ParameterSpace):
+        self.names, self.columns = space.names, space.columns()
+        pairs = list(zip(self.names, self.columns))
+        self.builder = [(name, column) for name, column in pairs
+                        if not name.startswith(OPTIONS_PREFIX)]
+        self.options = [(name[len(OPTIONS_PREFIX):], column)
+                        for name, column in pairs
+                        if name.startswith(OPTIONS_PREFIX)]
+
+    def params(self, indices: Sequence[int]) -> List[Dict[str, Any]]:
+        """The param dicts of the points at ``indices``, filled a column
+        at a time (under half the cost of a ``dict(zip())`` per point)."""
+        rows: List[Dict[str, Any]] = [{} for _ in indices]
+        for name, column in zip(self.names, self.columns):
+            deque(map(operator.setitem, rows, repeat(name),
+                      map(column.__getitem__, indices)), maxlen=0)
+        return rows
+
+
+class _OptionsCache(dict):
+    """Validated options per tuple of ``options.`` values, made on first
+    lookup (an invalid tuple maps to the :class:`CamJError` saying why)."""
+
+    def __init__(self, names: List[str], base_options: SimOptions):
+        super().__init__({(): base_options})
+        self.names, self.base_options = names, base_options
+
+    def __missing__(self, values: tuple) -> Union[SimOptions, CamJError]:
+        self[values] = options = self.validate(values)
+        return options
+
+    def validate(self, values: tuple) -> Union[SimOptions, CamJError]:
+        try:
+            return self.base_options.replace(**dict(zip(self.names, values)))
+        except CamJError as error:
+            return error
+
+
+def _rows(columns: List[Tuple[str, List[Any]]], start: int, stop: int
+          ) -> Iterator[tuple]:
+    """The value tuples of points ``start`` to ``stop`` in ``columns``."""
+    if not columns:
+        return repeat((), stop - start)
+    return zip(*[column[start:stop] for _, column in columns])
 
 
 def explore(space: ParameterSpace,
@@ -754,11 +794,12 @@ def explore_stream(space: ParameterSpace,
             f"unknown SimOptions axes {sorted(bad_axes)}; "
             f"supported: {sorted(OPTIONS_PREFIX + f for f in option_fields)}")
 
-    all_params = list(space)
-    total = len(all_params)
+    columns = _SpaceColumns(space)
+    total = len(columns.columns[0])
     step = chunk_size if chunk_size is not None else max(total, 1)
     built_cache: Dict[tuple, Union[Design, CamJError]] = {}
-    options_cache: Dict[tuple, SimOptions] = {}
+    options_cache = _OptionsCache([name for name, _ in columns.options],
+                                  base_options)
     segments: List[Segment] = []
     streamed: List[ExplorationPoint] = []
     completed = 0
@@ -773,14 +814,13 @@ def explore_stream(space: ParameterSpace,
                 raise ExplorationInterrupted(
                     f"exploration {result_name!r} stopped after "
                     f"{completed}/{total} points")
-            chunk_params = all_params[start:start + step]
+            stop = min(start + step, total)
             chunk_segments, chunk_hits, chunk_resilience, chunk_engines = \
                 _run_chunk(
-                    chunk_params, build, base_options, built_cache,
-                    simulator, resolved_objectives, annotate, engine,
-                    options_cache)
+                    columns, start, stop, build, options_cache, built_cache,
+                    simulator, resolved_objectives, annotate, engine)
             segments.extend(chunk_segments)
-            completed += len(chunk_params)
+            completed = stop
             for counter, count in chunk_resilience.items():
                 resilience[counter] += count
             for counter, count in chunk_engines.items():
@@ -808,106 +848,111 @@ def explore_stream(space: ParameterSpace,
     return result
 
 
-def _run_chunk(chunk_params: List[Dict[str, Any]],
+def _run_chunk(columns: _SpaceColumns, start: int, stop: int,
                build: Callable[..., BuilderResult],
-               base_options: SimOptions,
+               options_cache: _OptionsCache,
                built_cache: Dict[tuple, Union[Design, CamJError]],
                simulator: Simulator,
                objectives: Sequence[Metric],
                annotate: bool,
-               engine: str = "auto",
-               options_cache: Optional[Dict[tuple, SimOptions]] = None,
-               ) -> Tuple[List[Segment], int, Dict[str, int],
-                          Dict[str, int]]:
-    """Build, simulate, and evaluate one chunk of space points.
+               engine: str) -> Tuple[List[Segment], int, Dict[str, int],
+                                     Dict[str, int]]:
+    """Build, simulate, and evaluate space points ``start`` to ``stop``.
 
-    Identical builder params build the design once — ``built_cache``
-    persists across chunks, so option-only sweeps build exactly one
-    design no matter how finely the run is chunked (``options_cache``
-    does the same for validated per-point option overrides).  Returns
-    the chunk's segments (in input order), its result-cache hit count,
-    the resilience counters its one ``run_many`` batch reported, and
-    the engine counters (vector-evaluated vs object-fallback point
-    counts).
+    Points are grouped by their builder values and each group builds its
+    design once — ``built_cache`` persists across chunks, so option-only
+    sweeps build exactly one design no matter how finely the run is
+    chunked (``options_cache`` keeps one validated :class:`SimOptions`
+    per distinct tuple of ``options.`` values the same way).  Groups
+    that built one design object evaluate together.  Returns the
+    chunk's segments (in space order), its result-cache hit count, the
+    resilience counters its one ``run_many`` batch reported, and the
+    engine counters (vector-evaluated vs object-fallback point counts).
     """
-    if options_cache is None:
-        options_cache = {}
-    # Phase 1: enumerate and build.  Failures of either the builder or
-    # the per-point options become typed infeasible points.
-    slots: List[Tuple[Dict[str, Any], Optional[Design],
-                      Optional[SimOptions], Optional[CamJError]]] = []
-    # Points of one space share their key tuple, so the name split is
-    # computed once per distinct key-set instead of once per point.
-    split_plans: Dict[tuple, Tuple[tuple, tuple]] = {}
-    for params in chunk_params:
-        names = tuple(params)
-        plan = split_plans.get(names)
-        if plan is None:
-            plan = _split_plan(names)
-            split_plans[names] = plan
-        build_names, override_full, override_short = plan
-        if override_full:
-            # Validated options dedup across points (and chunks): a
-            # frame-rate axis shared by many designs replays the same
-            # overrides for every design.  The key is built straight
-            # from the point — no intermediate dict on the hot path —
-            # with unhashable values falling through to a fresh build.
-            try:
-                options_key = (override_short,
-                               tuple(map(params.__getitem__,
-                                         override_full)))
-                point_options = options_cache.get(options_key)
-            except TypeError:
-                options_key = None
-                point_options = None
-            if point_options is None:
-                overrides = dict(zip(override_short,
-                                     map(params.__getitem__,
-                                         override_full)))
-                try:
-                    point_options = base_options.replace(**overrides)
-                except CamJError as error:
-                    slots.append((params, None, None, error))
-                    continue
-                if options_key is not None:
-                    options_cache[options_key] = point_options
-        else:
-            point_options = base_options
+    # Phase 1: options, then one design per group of builder values.  A
+    # bad options value or a failing builder makes typed infeasible
+    # points; a point whose options fail never reaches the builder.
+    try:
+        point_options = list(map(options_cache.__getitem__,
+                                 _rows(columns.options, start, stop)))
+    except TypeError:  # an unhashable value: validated point by point
+        point_options = list(map(options_cache.validate,
+                                 _rows(columns.options, start, stop)))
+    failed: List[Tuple[int, CamJError]] = []
+    groups: Dict[Any, List[int]] = {}
+    for index, key, options in zip(range(start, stop),
+                                   _rows(columns.builder, start, stop),
+                                   point_options):
+        if isinstance(options, CamJError):
+            failed.append((index, options))
+            continue
         try:
-            key = (build_names, tuple(map(params.__getitem__, build_names)))
-            cached = built_cache.get(key)
-        except TypeError:
-            key = None
-            cached = None
-        if cached is None:
-            build_params = {name: params[name] for name in build_names}
+            groups.setdefault(key, []).append(index)
+        except TypeError:  # an unhashable value: a design of its own
+            groups[index] = [index]
+    designs: Dict[int, Tuple[Design, List[int]]] = {}
+    for key, indices in groups.items():
+        design = built_cache.get(key)
+        if design is None:
+            values = key if type(key) is tuple else \
+                [column[key] for _, column in columns.builder]
             try:
-                cached = _as_design(build(**build_params))
+                design = _as_design(build(**{
+                    name: value for (name, _), value
+                    in zip(columns.builder, values)}))
             except CamJError as error:
-                cached = error
-            if key is not None:
-                built_cache[key] = cached
-        if isinstance(cached, CamJError):
-            slots.append((params, None, None, cached))
+                design = error
+            if type(key) is tuple:
+                built_cache[key] = design
+        if isinstance(design, CamJError):
+            failed.extend((index, design) for index in indices)
         else:
-            slots.append((params, cached, point_options, None))
+            designs.setdefault(id(design), (design, []))[1].extend(indices)
 
-    # Phase 2a: the vector fast path takes eligible groups (same design
-    # object, numeric-only variation) out of the object batch entirely.
+    # Phase 2a: the vector fast path takes eligible groups (numeric-only
+    # variation) out of the object batch entirely.  Fault injection
+    # hooks the object execution path, which vectorized evaluation
+    # would sidestep.
     engines = dict.fromkeys(ENGINE_COUNTERS, 0)
-    claimed: set = set()
     pieces: List[Tuple[int, Segment]] = []
+    object_rows: List[Tuple[int, Design]] = []
     vector_hits = 0
-    if engine != "object":
-        claimed, pieces, vector_hits = _run_vector_groups(
-            slots, simulator, objectives, annotate, engine)
-        engines["vectorized"] = len(claimed)
+    vector_mod = None
+    if engine != "object" and not get_injector().active:
+        from repro.explore import vector as vector_mod
+        if vector_mod.vector_support_error(objectives) is not None:
+            vector_mod = None
+    for design, indices in designs.values():
+        indices.sort()  # groups that built one design object merged
+        fast = [] if vector_mod is None else [
+            index for index in indices
+            if not point_options[index - start].cycle_accurate]
+        if fast and len(fast) >= (1 if engine == "vector"
+                                  else vector_mod.VECTOR_MIN_POINTS):
+            try:
+                group_pieces, hits = vector_mod.evaluate_group(
+                    simulator, design, fast,
+                    [point_options[index - start] for index in fast],
+                    columns.params, objectives, annotate)
+            except VectorUnsupported:
+                # The screen rejected the design: the object path takes
+                # the group, under engine="vector" too.
+                pass
+            else:
+                for segment_indices, segment in group_pieces:
+                    _place(pieces, segment_indices, segment)
+                vector_hits += hits
+                engines["vectorized"] += len(fast)
+                indices = [index for index in indices
+                           if point_options[index - start].cycle_accurate] \
+                    if len(fast) < len(indices) else []
+        object_rows.extend((index, design) for index in indices)
 
     # Phase 2b: one parallel, deduplicated batch over the buildable
-    # points the vector path did not claim.
-    job_indices = [index for index, (_, _, _, error) in enumerate(slots)
-                   if error is None and index not in claimed]
-    jobs = [(slots[index][1], slots[index][2]) for index in job_indices]
+    # points the vector path did not claim, in space order.
+    object_rows.sort(key=operator.itemgetter(0))
+    jobs = [(design, point_options[index - start])
+            for index, design in object_rows]
     results = simulator.run_many(jobs) if jobs else []
     if engine != "object":
         engines["fallback"] = len(jobs)
@@ -925,75 +970,19 @@ def _run_chunk(chunk_params: List[Dict[str, Any]],
 
     # Phase 3: evaluate objectives and annotate the rest, then merge
     # everything back into space order.
-    if len(claimed) < len(slots):
-        cursor = iter(results)
-        for index, (params, design, _, error) in enumerate(slots):
-            if error is not None:
-                pieces.append((index, ExplorationPoint(
-                    params=params, failure_type=type(error).__name__,
-                    failure=str(error))))
-            elif index not in claimed:
-                pieces.append((index, _evaluate_point(
-                    params, design, next(cursor), objectives, annotate)))
+    for (index, design), params, result in zip(
+            object_rows, columns.params([row[0] for row in object_rows]),
+            results):
+        pieces.append((index, _evaluate_point(params, design, result,
+                                              objectives, annotate)))
+    for (index, error), params in zip(
+            failed, columns.params([row[0] for row in failed])):
+        pieces.append((index, ExplorationPoint(
+            params=params, failure_type=type(error).__name__,
+            failure=str(error))))
     pieces.sort(key=operator.itemgetter(0))
     return [segment for _, segment in pieces], chunk_hits, resilience, \
         engines
-
-
-def _run_vector_groups(slots, simulator: Simulator,
-                       objectives: Sequence[Metric], annotate: bool,
-                       engine: str
-                       ) -> Tuple[set, List[Tuple[int, Segment]], int]:
-    """Route eligible slot groups through the vector fast path.
-
-    Groups slots by design identity (the built-design cache already
-    collapses option-only sweeps onto one object) and hands each
-    large-enough group to :func:`repro.explore.vector.evaluate_group`.
-    Returns the slot indices it evaluated, its segments as
-    ``(first slot index, segment)`` pairs — a block whose rows are not
-    adjacent slots is cut into runs that are — and the number of points
-    served from the result cache.  Any group the
-    lowering rejects (:class:`VectorUnsupported`) is silently left for
-    the object path — under ``engine="auto"`` that is the contract;
-    under ``engine="vector"`` unsupported *objectives* were already
-    rejected up front, and design-level rejections still degrade
-    gracefully rather than failing the run.
-    """
-    from repro.explore import vector as vector_mod
-
-    claimed: set = set()
-    pieces: List[Tuple[int, Segment]] = []
-    if vector_mod.vector_support_error(objectives) is not None:
-        return claimed, pieces, 0
-    if get_injector().active:
-        # Fault injection hooks the object execution path; vectorized
-        # evaluation would sidestep the injected faults.
-        return claimed, pieces, 0
-    groups: Dict[int, List[int]] = {}
-    designs: Dict[int, Design] = {}
-    for index, (_, design, point_options, error) in enumerate(slots):
-        if error is not None or point_options.cycle_accurate:
-            continue
-        groups.setdefault(id(design), []).append(index)
-        designs[id(design)] = design
-    min_points = 1 if engine == "vector" else vector_mod.VECTOR_MIN_POINTS
-    hits = 0
-    for design_id, indices in groups.items():
-        if len(indices) < min_points:
-            continue
-        design = designs[design_id]
-        group = [(slots[index][0], slots[index][2]) for index in indices]
-        try:
-            group_pieces, group_hits = vector_mod.evaluate_group(
-                simulator, design, group, objectives, annotate)
-        except VectorUnsupported:
-            continue
-        claimed.update(indices)
-        for positions, segment in group_pieces:
-            _place(pieces, [indices[position] for position in positions],
-                   segment)
-        hits += group_hits
-    return claimed, pieces, hits
 
 
 def _place(pieces: List[Tuple[int, Segment]], slot_indices: List[int],

@@ -1,12 +1,14 @@
 """Composable, declarative parameter spaces.
 
-A :class:`ParameterSpace` is a finite, lazily-enumerable set of parameter
-bindings (plain ``{name: value}`` dicts).  Spaces compose: axes combine
-into cartesian products (:func:`product`, :func:`grid`, or the ``*``
-operator), pair up in lockstep (:func:`zipped`), and narrow through
-predicates (:meth:`ParameterSpace.filter`).  The exploration engine binds
-each enumerated point into a design builder, so a space never holds
-designs — only the coordinates that produce them.
+A :class:`ParameterSpace` is a finite set of parameter bindings that
+enumerates as columns: one value list per name, row ``i`` of each forming
+point ``i`` (plain ``{name: value}`` dicts through ``points()``).  Spaces
+compose: axes combine into cartesian products (:func:`product`,
+:func:`grid`, or the ``*`` operator), pair up in lockstep
+(:func:`zipped`), and narrow through predicates
+(:meth:`ParameterSpace.filter`).  The exploration engine groups the rows
+by their builder values and builds each group's design once, so a space
+never holds designs — only the coordinates that produce them.
 
 Axis and combinator spaces serialize to JSON (the ``space`` block of an
 exploration spec); filtered subspaces carry an arbitrary predicate and
@@ -20,7 +22,7 @@ simulation frame rate over an otherwise fixed design.
 
 from __future__ import annotations
 
-import itertools
+from itertools import chain, repeat
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError, SerializationError
@@ -30,16 +32,25 @@ OPTIONS_PREFIX = "options."
 
 
 class ParameterSpace:
-    """Base class: a finite, lazily-enumerated set of parameter bindings."""
+    """Base class: a finite set of parameter bindings, enumerated as
+    columns (a subclass defines :meth:`columns`, not :meth:`points`)."""
 
     @property
     def names(self) -> Tuple[str, ...]:
         """The parameter names every enumerated point binds."""
         raise NotImplementedError
 
-    def points(self) -> Iterator[Dict[str, Any]]:
-        """Enumerate the bindings lazily, in deterministic order."""
+    def columns(self) -> List[List[Any]]:
+        """One value list per name of :attr:`names`, in deterministic
+        order: row ``i`` of every column is point ``i``."""
         raise NotImplementedError
+
+    def points(self) -> Iterator[Dict[str, Any]]:
+        """The bindings as ``{name: value}`` dicts, keyed in
+        :attr:`names` order (the rows of :meth:`columns`)."""
+        names = self.names
+        for row in zip(*self.columns()):
+            yield dict(zip(names, row))
 
     def __iter__(self) -> Iterator[Dict[str, Any]]:
         return self.points()
@@ -85,9 +96,8 @@ class Axis(ParameterSpace):
     def names(self) -> Tuple[str, ...]:
         return (self.name,)
 
-    def points(self) -> Iterator[Dict[str, Any]]:
-        for value in self.values:
-            yield {self.name: value}
+    def columns(self) -> List[List[Any]]:
+        return [list(self.values)]
 
     def __len__(self) -> int:
         return len(self.values)
@@ -113,13 +123,20 @@ class ProductSpace(ParameterSpace):
     def names(self) -> Tuple[str, ...]:
         return tuple(name for space in self.spaces for name in space.names)
 
-    def points(self) -> Iterator[Dict[str, Any]]:
-        for combo in itertools.product(*(space.points()
-                                         for space in self.spaces)):
-            merged: Dict[str, Any] = {}
-            for part in combo:
-                merged.update(part)
-            yield merged
+    def columns(self) -> List[List[Any]]:
+        # Each part multiplies in: earlier values repeat once per row of
+        # the part, and its columns tile once per earlier row.
+        columns: List[List[Any]] = []
+        size = 1
+        for space in self.spaces:
+            part = space.columns()
+            width = len(part[0])
+            columns = [list(chain.from_iterable(map(repeat, column,
+                                                    repeat(width))))
+                       for column in columns] + [column * size
+                                                 for column in part]
+            size *= width
+        return columns
 
     def __len__(self) -> int:
         total = 1
@@ -149,12 +166,9 @@ class ZipSpace(ParameterSpace):
     def names(self) -> Tuple[str, ...]:
         return tuple(name for space in self.spaces for name in space.names)
 
-    def points(self) -> Iterator[Dict[str, Any]]:
-        for combo in zip(*(space.points() for space in self.spaces)):
-            merged: Dict[str, Any] = {}
-            for part in combo:
-                merged.update(part)
-            yield merged
+    def columns(self) -> List[List[Any]]:
+        return [column for space in self.spaces
+                for column in space.columns()]
 
     def __len__(self) -> int:
         return len(self.spaces[0])
@@ -178,16 +192,17 @@ class FilteredSpace(ParameterSpace):
     def names(self) -> Tuple[str, ...]:
         return self.base.names
 
-    def points(self) -> Iterator[Dict[str, Any]]:
-        for params in self.base.points():
-            if self.predicate(params):
-                yield params
+    def columns(self) -> List[List[Any]]:
+        rows = [row for row in zip(*self.base.columns())
+                if self.predicate(dict(zip(self.names, row)))]
+        return [list(column) for column in zip(*rows)] or \
+            [[] for _ in self.names]
 
     def __len__(self) -> int:
         # A predicate is opaque, so the size is only knowable by
         # enumeration; memoized because spaces are immutable by convention.
         if self._size is None:
-            self._size = sum(1 for _ in self.points())
+            self._size = len(self.columns()[0])
         return self._size
 
 

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,8 +86,11 @@ from repro.sim.simulator import _run_pass
 #: the bound and vectorizes any group it can.
 VECTOR_MIN_POINTS = 4
 
-#: One evaluated piece of a group: its group positions and their segment.
+#: One evaluated piece of a group: its space indices and their segment.
 Piece = Tuple[List[int], Segment]
+
+#: Builds the param dicts of the points at some space indices.
+Params = Callable[[Sequence[int]], List[Dict[str, Any]]]
 
 _LOWERED_LIMIT = 128
 #: Content hashes of the designs the screen admitted, most recent last.
@@ -212,14 +215,15 @@ def _vector_bottlenecks(report: EnergyReport, size: int,
 
 
 def evaluate_group(simulator: Simulator, design: Design,
-                   group: List[Tuple[Dict[str, Any], SimOptions]],
-                   objectives: Sequence[Metric],
+                   indices: List[int], options: List[SimOptions],
+                   params: Params, objectives: Sequence[Metric],
                    annotate: bool) -> Tuple[List[Piece], int]:
     """Evaluate one same-design group of points on the vector path.
 
-    ``group`` holds ``(params, options)`` pairs.  Returns the group's
-    points as ``(group positions, segment)`` pieces — a
-    :class:`PointBlock` of feasible rows, or one
+    Space point ``indices[i]`` is evaluated under ``options[i]``;
+    ``params(space indices)`` builds the param dicts of the points the
+    group hands back.  Returns the group's points as ``(space indices,
+    segment)`` pieces — a :class:`PointBlock` of feasible rows, or one
     :class:`ExplorationPoint` — plus the result-cache hit count.  Raises
     :class:`VectorUnsupported` — before any cache probe or pass runs —
     when the design fails the screen; the caller falls back to the
@@ -230,24 +234,30 @@ def evaluate_group(simulator: Simulator, design: Design,
     # unsupported design escapes here with zero observable side effects.
     _screen_design(design, design_hash)
     pieces: List[Piece] = []
-    hits = _evaluate_screened(simulator, design, design_hash, group,
-                              objectives, annotate, pieces)
+    hits = _evaluate_screened(simulator, design, design_hash, indices,
+                              options, params, objectives, annotate, pieces)
     return pieces, hits
 
 
 def _evaluate_screened(simulator: Simulator, design: Design,
-                       design_hash: Optional[str],
-                       group: List[Tuple[Dict[str, Any], SimOptions]],
+                       design_hash: Optional[str], indices: List[int],
+                       group: List[SimOptions], params: Params,
                        objectives: Sequence[Metric], annotate: bool,
                        pieces: List[Piece]) -> int:
-    """Fill ``pieces``; returns how many the result cache served."""
+    """Fill ``pieces``; returns how many the result cache served.
 
-    def fail(indices: Sequence[int], error: CamJError) -> None:
+    Group position ``i`` is space point ``indices[i]`` under options
+    ``group[i]``.
+    """
+
+    def fail(positions: Sequence[int], error: CamJError) -> None:
         # A failure is cached under run()'s rule (permanent ones only).
-        for i in indices:
-            params, options = group[i]
-            pieces.append(([i], _error_point(params, design, design_hash,
-                                             error)))
+        targets = [indices[i] for i in positions]
+        for i, target, point_params in zip(positions, targets,
+                                           params(targets)):
+            options = group[i]
+            pieces.append(([target], _error_point(point_params, design,
+                                                  design_hash, error)))
             if design_hash is not None:
                 simulator.offer_result((design_hash, options), SimResult(
                     design_name=design.name, options=options,
@@ -259,7 +269,7 @@ def _evaluate_screened(simulator: Simulator, design: Design,
     # no per-key probing at all.
     if design_hash is not None \
             and simulator.design_probe_needed(design_hash, len(group)):
-        keys = [(design_hash, options) for _, options in group]
+        keys = [(design_hash, options) for options in group]
         probed = simulator.probe_results(keys)
         pending: List[int] = []
         # Rows of cached column blocks are read column-wise, per block:
@@ -275,11 +285,13 @@ def _evaluate_screened(simulator: Simulator, design: Design,
                 positions.append(i)
                 rows.append(row)
             else:
-                pieces.append(([i], _evaluate_point(
-                    group[i][0], design, hit, objectives, annotate)))
+                pieces.append(([indices[i]], _evaluate_point(
+                    params([indices[i]])[0], design, hit, objectives,
+                    annotate)))
         for block, positions, rows in served.values():
-            pieces.extend(_read_block(block, design, group, positions,
-                                      rows, objectives, annotate))
+            pieces.extend(_read_block(
+                block, design, [indices[i] for i in positions], rows,
+                params, objectives, annotate))
         hits = len(group) - len(pending)
         if not pending:
             return hits
@@ -292,12 +304,12 @@ def _evaluate_screened(simulator: Simulator, design: Design,
     # exactly the engine's prelude.  A check failure fails every
     # checked point with the same typed error the object path reports.
     survivors = pending
-    if any(not group[i][1].skip_checks for i in pending):
+    if any(not group[i].skip_checks for i in pending):
         try:
             simulator.ensure_design_checked(design, design_hash)
         except CamJError as error:
-            fail([i for i in pending if not group[i][1].skip_checks], error)
-            survivors = [i for i in pending if group[i][1].skip_checks]
+            fail([i for i in pending if not group[i].skip_checks], error)
+            survivors = [i for i in pending if group[i].skip_checks]
             if not survivors:
                 return hits
 
@@ -323,51 +335,31 @@ def _evaluate_screened(simulator: Simulator, design: Design,
     # SimOptions validates frame_rate > 0 and exposure_slots >= 1, so
     # only the budget check can fail here.
     digital_latency = timeline.total_latency
-    if len(survivors) == len(group):
-        frame_rate_vec = np.array([options.frame_rate
-                                    for _, options in group], dtype=float)
-    else:
-        frame_rate_vec = np.array([float(group[i][1].frame_rate)
-                                    for i in survivors])
+    frame_rate_vec = np.array([float(group[i].frame_rate)
+                                for i in survivors])
     frame_time_vec, budget = frame_budget(frame_rate_vec, digital_latency)
-    feasible_mask = budget > 0.0
-    if feasible_mask.all():
-        # Common case: every survivor fits its frame budget — skip the
-        # per-point scan and the compaction copies entirely.
-        feasible_survivors = survivors
-        frame_rate_f = frame_rate_vec
-        frame_time_f = frame_time_vec
-        budget_f = budget
-    else:
-        frame_time_list = frame_time_vec.tolist()
-        feasible_positions: List[int] = []
-        for position, feasible in enumerate(feasible_mask.tolist()):
-            if feasible:
-                feasible_positions.append(position)
-                continue
-            i = survivors[position]
-            fail([i], over_budget(group[i][1].frame_rate,
-                                  frame_time_list[position],
-                                  digital_latency))
-        if not feasible_positions:
-            return hits
-        # Compact to the feasible subset (exact element copies, so the
-        # downstream arithmetic is unchanged).
-        index = np.array(feasible_positions)
-        feasible_survivors = [survivors[p] for p in feasible_positions]
-        frame_rate_f = frame_rate_vec[index]
-        frame_time_f = frame_time_vec[index]
-        budget_f = budget[index]
+    feasible = budget > 0.0
+    for position in np.flatnonzero(~feasible).tolist():
+        i = survivors[position]
+        fail([i], over_budget(group[i].frame_rate,
+                              float(frame_time_vec[position]),
+                              digital_latency))
+    keep = np.flatnonzero(feasible)
+    if not len(keep):
+        return hits
+    # Compact to the feasible subset (exact element copies, so the
+    # downstream arithmetic is unchanged).
+    feasible_survivors = survivors if len(keep) == len(survivors) \
+        else [survivors[p] for p in keep.tolist()]
+    frame_rate_f = frame_rate_vec[keep]
+    frame_time_f = frame_time_vec[keep]
+    budget_f = budget[keep]
 
     # Build the energy columns in the engine's entry order: analog,
     # digital, communication.
     base_slots = float(len(participating))
-    if len(feasible_survivors) == len(group):
-        slots_f = np.array([base_slots + options.exposure_slots
-                             for _, options in group])
-    else:
-        slots_f = np.array([base_slots + group[i][1].exposure_slots
-                             for i in feasible_survivors])
+    slots_f = np.array([base_slots + group[i].exposure_slots
+                        for i in feasible_survivors])
     delay_f = budget_f / slots_f
     report = EnergyReport(system_name=design.system.name,
                           frame_rate=frame_rate_f, frame_time=frame_time_f,
@@ -390,20 +382,20 @@ def _evaluate_screened(simulator: Simulator, design: Design,
     # group's points are read off it exactly as a later replay reads
     # them.
     block = ResultBlock(design_name=design.name, design_hash=design_hash,
-                        options=[group[i][1] for i in feasible_survivors],
+                        options=[group[i] for i in feasible_survivors],
                         report=report)
     simulator.offer_results(block)
-    pieces.extend(_read_block(block, design, group, feasible_survivors,
-                              None, objectives, annotate))
+    pieces.extend(_read_block(block, design,
+                              [indices[i] for i in feasible_survivors],
+                              None, params, objectives, annotate))
     return hits
 
 
-def _read_block(block: ResultBlock, design: Design,
-                group: List[Tuple[Dict[str, Any], SimOptions]],
-                positions: List[int], rows: Optional[List[int]],
+def _read_block(block: ResultBlock, design: Design, targets: List[int],
+                rows: Optional[List[int]], params: Params,
                 objectives: Sequence[Metric],
                 annotate: bool) -> List[Piece]:
-    """The pieces of the group ``positions`` served by the block's
+    """The pieces of the space points ``targets`` served by the block's
     ``rows`` (None: every row, in order).
 
     Metrics and bottlenecks are computed column-wise over the whole
@@ -424,17 +416,18 @@ def _read_block(block: ResultBlock, design: Design,
         except CamJError as error:
             failure = f"metric {objective.name!r}: {error}"
             failure_type = type(error).__name__
-            return [([i], ExplorationPoint(
-                params=group[i][0], design_name=design.name,
+            return [([target], ExplorationPoint(
+                params=point_params, design_name=design.name,
                 design_hash=block.design_hash, failure_type=failure_type,
-                failure=failure)) for i in positions]
+                failure=failure))
+                for target, point_params in zip(targets, params(targets))]
         values = _column(raw, size)
         metrics.append((values if rows is None else values[rows]).tolist())
     columns: Dict[str, Any] = {}
     if annotate:
         columns = dict(zip(("causes", "top", "energy", "share"),
                            _vector_bottlenecks(report, size, rows)))
-    return [(positions, PointBlock(
-        [group[i][0] for i in positions], design.name, block.design_hash,
+    return [(targets, PointBlock(
+        params(targets), design.name, block.design_hash,
         tuple(objective.name for objective in objectives), metrics,
         **columns))]

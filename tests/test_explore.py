@@ -1,12 +1,14 @@
 """Tests for the unified design-space exploration engine."""
 
+import itertools
 import json
 import time
+from itertools import count
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.api import SimOptions, Simulator, build_usecase
+from repro.api import Design, SimOptions, Simulator, build_usecase
 from repro.energy.report import Category
 from repro.exceptions import ConfigurationError, SerializationError
 from repro.explore import (
@@ -32,7 +34,10 @@ from repro.explore import (
 from repro.explore.annotate import Bottleneck
 from repro.explore.block import PointBlock
 from repro.explore.engine import ExplorationPoint
-from repro.usecases.fig5 import build_fig5_design
+from repro.explore.space import FilteredSpace, ProductSpace, ZipSpace
+from repro.hw.digital.memory import LineBuffer
+from repro.usecases.fig5 import (FIG5_MAPPING, build_fig5_design,
+                                 build_fig5_stages, build_fig5_system)
 
 
 class TestSpaces:
@@ -95,11 +100,95 @@ class TestSpaces:
             choice("a", [])
 
     def test_lazy_enumeration(self):
-        """Spaces enumerate lazily: a huge product costs nothing to make."""
+        """A huge product costs nothing to make."""
         space = grid(a=list(range(1000)), b=list(range(1000)))
         assert len(space) == 1_000_000
         first = next(iter(space))
         assert first == {"a": 0, "b": 0}
+
+
+_VALUE = st.one_of(st.integers(-3, 3), st.sampled_from(["x", "y", ""]),
+                   st.lists(st.integers(0, 2), max_size=2))
+
+
+def _values(draw, size):
+    return [draw(_VALUE) for _ in range(size)]
+
+
+def _sized_space(draw, names, size, depth):
+    """A random space of exactly ``size`` points."""
+    kind = draw(st.sampled_from(["axis", "zip", "product", "filter"])
+                if depth else st.just("axis"))
+    if kind == "zip":
+        return zipped(*[_sized_space(draw, names, size, depth - 1)
+                        for _ in range(draw(st.integers(1, 2)))])
+    if kind == "product":
+        spaces = [_sized_space(draw, names, size, depth - 1),
+                  _sized_space(draw, names, 1, depth - 1)]
+        return ProductSpace(draw(st.permutations(spaces)))
+    if kind == "filter":
+        return _sized_space(draw, names, size, depth - 1).filter(
+            lambda params: True)
+    return choice(next(names), _values(draw, size))
+
+
+@st.composite
+def _spaces(draw, names=None, depth=3):
+    """Random nested Axis/Product/Zip/Filter trees, disjointly named."""
+    names = names if names is not None else (f"p{i}" for i in count())
+    kind = draw(st.sampled_from(["axis", "zip", "product", "filter"])
+                if depth else st.just("axis"))
+    if kind == "zip":
+        return _sized_space(draw, names, draw(st.integers(1, 3)), depth)
+    if kind == "product":
+        return ProductSpace([draw(_spaces(names, depth - 1))
+                             for _ in range(draw(st.integers(1, 3)))])
+    if kind == "filter":
+        salt = draw(st.integers(0, 2))
+        return draw(_spaces(names, depth - 1)).filter(
+            lambda params: (len(repr(params)) + salt) % 3 != 0)
+    return choice(next(names), _values(draw, draw(st.integers(1, 3))))
+
+
+def _reference_points(space):
+    """Point-wise enumeration of a space tree: the merged-dict formula."""
+    def merged(parts):
+        point = {}
+        for part in parts:
+            point.update(part)
+        return point
+
+    if isinstance(space, FilteredSpace):
+        return [point for point in _reference_points(space.base)
+                if space.predicate(dict(point))]
+    if isinstance(space, ProductSpace):
+        return [merged(parts) for parts in itertools.product(
+            *map(_reference_points, space.spaces))]
+    if isinstance(space, ZipSpace):
+        return [merged(parts)
+                for parts in zip(*map(_reference_points, space.spaces))]
+    return [{space.name: value} for value in space.values]
+
+
+class TestSpaceColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(_spaces())
+    def test_columns_are_the_points(self, space):
+        columns = space.columns()
+        points = list(space.points())
+        assert len(columns) == len(space.names)
+        assert all(len(column) == len(space) for column in columns)
+        assert [dict(zip(space.names, row))
+                for row in zip(*columns)] == points
+        assert points == _reference_points(space)
+        assert all(tuple(point) == space.names for point in points)
+
+    def test_an_empty_filter_empties_a_product(self):
+        space = product(choice("a", [1, 2]),
+                        choice("b", [3]).filter(lambda params: False))
+        assert len(space) == 0
+        assert space.columns() == [[], []]
+        assert list(space) == []
 
 
 class TestSpaceSerialization:
@@ -848,3 +937,129 @@ class TestStreamedPoints:
         assert all(a is b for a, b in zip(streamed.points, seen))
         assert streamed.to_json() == plain.to_json()
         assert streamed.points == plain.points
+
+
+# --- chunking and design groups ----------------------------------------------
+
+class _GatedLineBuffer(LineBuffer):
+    """Power-gated at slow frames: the vector screen rejects the design."""
+
+    def leakage_energy(self, frame_time):
+        return 0.0 if frame_time > 0.05 else super().leakage_energy(
+            frame_time)
+
+
+def _fig5_model(model, tag):
+    """A Fig. 5 design per ``model``; ``tag`` (any value) is unused."""
+    if model == "bogus":
+        raise ConfigurationError("no such model")
+    system = build_fig5_system()
+    if model == "gated":
+        system.memories[0].__class__ = _GatedLineBuffer
+    return Design(build_fig5_stages(), system, dict(FIG5_MAPPING),
+                  name="Fig5-" + model)
+
+
+#: Builder failures, list-valued builder params (one design per point),
+#: a screened-out design (object path) beside stock ones (vector path),
+#: frame-budget failures, and bad frame rates: zero, a string, a list.
+_MODELS = choice("model", ["stock", "bogus", "gated"])
+_TAGS = choice("tag", ["a", [1, 2]])
+_RATES = choice("options.frame_rate", [30.0, 1e7, 0.0, 60.0, "fast",
+                                       [30.0], 45.0])
+_MIXED_SPACES = {"rates last": product(_MODELS, _TAGS, _RATES),
+                 "rates first": product(_RATES, _MODELS, _TAGS)}
+
+
+class TestChunking:
+    @pytest.mark.parametrize("order", sorted(_MIXED_SPACES))
+    def test_chunk_size_changes_nothing(self, order):
+        """Any chunking gives the document, engine counters and streamed
+        points of one chunk."""
+        space = _MIXED_SPACES[order]
+        runs = {}
+        for chunk_size in (1, 3, 7, None):
+            seen = []
+            with Simulator() as sim:
+                result = explore_stream(
+                    space, _fig5_model, simulator=sim, engine="vector",
+                    chunk_size=chunk_size,
+                    on_progress=lambda points, *counts: seen.append(
+                        [point.to_dict() for point in points]))
+            streamed = [point for chunk in seen for point in chunk]
+            runs[chunk_size] = (result.to_json(), result.engines, streamed)
+            assert len(seen) == (1 if chunk_size is None
+                                 else -(-len(space) // chunk_size))
+        document, engines, streamed = runs[None]
+        assert engines["vectorized"] > 0 and engines["fallback"] > 0
+        assert streamed == json.loads(document)["points"]
+        assert all(run == runs[None] for run in runs.values())
+        failures = {point["failure"]["type"] for point in streamed
+                    if point["failure"] is not None}
+        assert failures == {"ConfigurationError", "TimingError"}
+
+    def test_unhashable_builder_values_build_per_point(self):
+        calls = []
+
+        def builder(model, tag):
+            calls.append(tag)
+            return _fig5_model(model, tag)
+
+        space = product(choice("model", ["stock"]), _TAGS,
+                        choice("options.frame_rate", [30.0, 60.0, 0.0]))
+        result = explore(space, builder, engine="vector")
+        # One build for the hashable tag, one per valid-rate list point.
+        assert calls == ["a", [1, 2], [1, 2]]
+        assert [point.params for point in result.points] == list(space)
+
+    def test_builder_values_sharing_a_design_object_group_together(self):
+        """Two builder values that return one design object make one
+        group, which reaches the vector threshold neither reaches alone."""
+        from repro.explore.vector import VECTOR_MIN_POINTS
+
+        shared = build_fig5_design()
+        rates = [20.0 + 10.0 * step for step in range(VECTOR_MIN_POINTS - 1)]
+        space = product(choice("tag", ["a", "b"]),
+                        choice("options.frame_rate", rates))
+        result = explore(space, lambda tag: shared,
+                         objectives=("energy_per_frame",))
+        assert result.engines == {"vectorized": len(space), "fallback": 0}
+        assert [point.params for point in result.points] == list(space)
+
+    def test_bad_options_stay_typed_and_in_space_order(self):
+        space = choice("options.frame_rate",
+                       [30.0, "fast", 60.0, [1.0], -2.0, 45.0, 15.0])
+        result = explore(space, build_fig5_design, engine="vector")
+        assert [point.params for point in result.points] == list(space)
+        assert [point.failure_type for point in result.points] == [
+            None, "ConfigurationError", None, "ConfigurationError",
+            "ConfigurationError", None, None]
+        assert result.engines == {"vectorized": 4, "fallback": 0}
+
+
+class TestDesignGroups:
+    def test_a_product_explores_as_columns_grouped_by_design(
+            self, monkeypatch):
+        """4 x 2 x 1250 Ed-Gaze points: 8 builds, one vector group per
+        design, and no per-point enumeration of the product."""
+        space = product(
+            choice("placement", ["2D-In", "2D-Off", "3D-In", "3D-In-STT"]),
+            choice("cis_node", [130, 65]),
+            linspace("options.frame_rate", 15.0, 480.0, 1250))
+        builds = []
+
+        def builder(**params):
+            builds.append(params)
+            return build_usecase("edgaze", **params)
+
+        def enumerated(self):
+            raise AssertionError("the engine enumerated the product")
+
+        monkeypatch.setattr(ProductSpace, "points", enumerated)
+        monkeypatch.setattr(ProductSpace, "__iter__", enumerated)
+        with Simulator() as sim:
+            result = explore(space, builder, simulator=sim,
+                             objectives=("energy_per_frame", "latency"))
+        assert len(builds) == 8
+        assert result.engines == {"vectorized": 10000, "fallback": 0}
+        assert len(result.feasible_points) == 10000

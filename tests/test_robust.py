@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import statistics
 import sys
 import threading
 import time
@@ -546,8 +547,9 @@ class TestMonteCarlo:
 
     def test_warm_replay_is_three_times_faster(self, edgaze_design):
         """A 256-sample Ed-Gaze study replayed on its session: every
-        sample accounted for, the same document, every unique key a
-        hit, and >= 3x the cold throughput."""
+        sample accounted for, every replay the same document with every
+        unique key a hit, and the median of three replays >= 3x the cold
+        throughput (one replay slowed by a busy host does not decide)."""
 
         def study(simulator):
             return monte_carlo(edgaze_design, default_variation(),
@@ -556,20 +558,22 @@ class TestMonteCarlo:
                                         "power_density", "latency"],
                                simulator=simulator)
 
+        warm_s = []
         with Simulator() as simulator:
             started = time.perf_counter()
             cold = study(simulator)
             cold_s = time.perf_counter() - started
-            started = time.perf_counter()
-            warm = study(simulator)
-            warm_s = time.perf_counter() - started
-            warm_stats = simulator.last_batch_stats
+            for _ in range(3):
+                started = time.perf_counter()
+                warm = study(simulator)
+                warm_s.append(time.perf_counter() - started)
+                warm_stats = simulator.last_batch_stats
+                assert warm.to_json() == cold.to_json()
+                assert warm_stats.cache_hits == warm_stats.unique
 
         assert cold.accounting == {"total": 256, "ok": 256, "failed": 0}
         assert cold.seed == 7 and cold.samples == 256
-        assert warm.to_json() == cold.to_json()
-        assert warm_stats.cache_hits == warm_stats.unique
-        assert cold_s / warm_s >= 3.0
+        assert cold_s / statistics.median(warm_s) >= 3.0
 
     def test_round_trip(self, fig5_design):
         result = monte_carlo(fig5_design, SMALL_VARIATION,
