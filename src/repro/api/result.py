@@ -57,7 +57,7 @@ class SimOptions:
                 or not isinstance(self.skip_checks, bool):
             raise ConfigurationError(
                 "cycle_accurate and skip_checks must be booleans")
-        if self.frame_rate <= 0:
+        if not self.frame_rate > 0:  # NaN too
             raise ConfigurationError(
                 f"frame rate must be positive, got {self.frame_rate}")
         if self.exposure_slots < 1:
@@ -194,10 +194,10 @@ class SimResult:
 class ResultBlock:
     """Feasible results of one design at many options, as columns.
 
-    What the vectorized explore path holds once a group is evaluated:
-    one :class:`EnergyReport` whose energies, ``frame_time`` and
-    ``analog_stage_delay`` are columns with one element per row, and
-    the options of each row.  The session caches whole blocks instead
+    What :meth:`~repro.api.Simulator.run_block` publishes for a group
+    of points: one :class:`EnergyReport` whose energies, ``frame_rate``,
+    ``frame_time`` and ``analog_stage_delay`` are columns with one
+    element per row, and the options of each row.  The session caches whole blocks instead
     of one result per point; :meth:`result` materializes one row's
     bit-identical :class:`SimResult` when a single key is asked for.
     """

@@ -9,8 +9,11 @@ an in-memory tier always, plus an opt-in disk tier
 (``Simulator(cache_dir=...)`` or the ``REPRO_CACHE_DIR`` environment
 variable) that keeps results warm across processes and CLI invocations.
 The memory tier holds one :class:`SimResult` per key, and the column
-blocks (:class:`~repro.api.result.ResultBlock`) the vectorized explore
-path publishes, one per evaluated group.
+blocks (:class:`~repro.api.result.ResultBlock`) of
+:meth:`Simulator.run_block`, one per group of points the vectorized
+explore path evaluates.  A single run and a block go through one
+engine call (:func:`~repro.sim.simulator._simulate_graph`, given one
+operating point or columns of them).
 
 The execution backend owns its worker pool: created lazily on the
 first batch that needs one and reused for every batch after it —
@@ -389,16 +392,9 @@ class Simulator:
             # this session (by content hash) — never re-walks them.
             if not options.skip_checks:
                 self.ensure_design_checked(design, design_hash)
-            report = _simulate_graph(
-                design.graph, design.system, design.mapping,
-                frame_rate=options.frame_rate,
-                exposure_slots=options.exposure_slots,
-                cycle_accurate=options.cycle_accurate,
-                skip_checks=True,  # handled above, at most once per design
-                mapping_validated=True,  # Design validated at construction
-                resolved=design.resolved_units,
-                memo=self._pass_memo_for(design, design_hash),
-                counters=self._pass_counters)
+            report = self._simulate(design, design_hash, options.frame_rate,
+                                    options.exposure_slots,
+                                    options.cycle_accurate)
             return SimResult(design_name=design.name, options=options,
                              design_hash=design_hash, report=report,
                              elapsed_s=time.perf_counter() - started)
@@ -406,6 +402,68 @@ class Simulator:
             return SimResult(design_name=design.name, options=options,
                              design_hash=design_hash, error=error,
                              elapsed_s=time.perf_counter() - started)
+
+    def run_block(self, design: Design, design_hash: Optional[str],
+                  group: List[SimOptions]
+                  ) -> Tuple[Optional[ResultBlock], Dict[int, SimResult]]:
+        """Simulate one design at many options with one engine call.
+
+        Each point's outcome is what a cold :meth:`run` computes for
+        it, but the cache is not probed (the caller did).  What the call
+        computes is published: the points that simulated as one column
+        block, each other point as a failed result under :meth:`run`'s
+        rule.  Returns the block (``None`` when no point simulated) and
+        the failed results by group position.  The engine runs once for
+        the whole group, so no options may be ``cycle_accurate``.
+        """
+        errors: Dict[int, CamJError] = {}
+        rows = range(len(group))
+        if not all(options.skip_checks for options in group):
+            try:
+                self.ensure_design_checked(design, design_hash)
+            except CamJError as error:
+                errors = {i: error for i in rows if not group[i].skip_checks}
+                rows = [i for i in rows if group[i].skip_checks]
+        points = list(group) if len(rows) == len(group) \
+            else [group[i] for i in rows]
+        block = None
+        if points:
+            report, failed = self._simulate(
+                design, design_hash,
+                [options.frame_rate for options in points],
+                [options.exposure_slots for options in points])
+            errors.update((rows[row], error) for row, error in failed.items())
+            if report is not None:
+                if failed:
+                    points = [options for row, options in enumerate(points)
+                              if row not in failed]
+                block = ResultBlock(design_name=design.name,
+                                    design_hash=design_hash, options=points,
+                                    report=report)
+                self.offer_results(block)
+        failures = {i: SimResult(design_name=design.name, options=group[i],
+                                 design_hash=design_hash, error=error)
+                    for i, error in errors.items()}
+        if design_hash is not None:
+            for i, result in failures.items():
+                self.offer_result((design_hash, group[i]), result)
+        return block, failures
+
+    def _simulate(self, design: Design, design_hash: Optional[str],
+                  frame_rate, exposure_slots, cycle_accurate: bool = False):
+        """The session's one engine call, for one point or columns of
+        points (:func:`~repro.sim.simulator._simulate_graph`): the
+        design's validated mapping and resolved units, its session pass
+        memo, the session's pass counters.  The caller runs the checks."""
+        return _simulate_graph(
+            design.graph, design.system, design.mapping,
+            frame_rate=frame_rate, exposure_slots=exposure_slots,
+            cycle_accurate=cycle_accurate,
+            skip_checks=True,  # the caller's, at most once per design
+            mapping_validated=True,  # Design validated at construction
+            resolved=design.resolved_units,
+            memo=self._pass_memo_for(design, design_hash),
+            counters=self._pass_counters)
 
     def _job_key(self, design: Design, options: SimOptions
                  ) -> Optional[Tuple[str, SimOptions]]:
@@ -434,16 +492,6 @@ class Simulator:
             if design_hash is not None:
                 with self._lock:
                     self._checked_hashes.add(design_hash)
-
-    def pass_context(self, design: Design, design_hash: Optional[str]):
-        """(memo, counters) the engine would use for this design.
-
-        Lets external evaluators (the vectorized explore path) run
-        design-only passes with the same session-level memoization and
-        accounting as :meth:`run`.
-        """
-        return self._pass_memo_for(design, design_hash), \
-            self._pass_counters
 
     # --- the two-tier cache -----------------------------------------------
 

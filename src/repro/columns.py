@@ -41,6 +41,14 @@ def element(value, index: int):
     return float(value[index]) if _is_column(value) else value
 
 
+def dense(value, size: int):
+    """A column of ``size`` points from a column or one shared number."""
+    if _is_column(value):
+        return value
+    import numpy
+    return numpy.full(size, float(value))
+
+
 def _is_column(value) -> bool:
     """Whether ``value`` is a per-point column rather than one number."""
     return not isinstance(value, (int, float))

@@ -11,9 +11,10 @@ next on each of them".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import units
+from repro.columns import dense
 from repro.energy.report import Category, EnergyReport
 from repro.exceptions import ConfigurationError
 
@@ -85,11 +86,7 @@ def identify_bottlenecks(report: EnergyReport, top: int = 5,
     total = report.total_energy
     if total <= 0:
         return []
-    by_component: Dict[tuple, float] = {}
-    for entry in report.entries:
-        key = (entry.name, entry.category)
-        by_component[key] = by_component.get(key, 0.0) + entry.energy
-    ranked = sorted(by_component.items(), key=lambda kv: kv[1],
+    ranked = sorted(_by_component(report).items(), key=lambda kv: kv[1],
                     reverse=True)
     bottlenecks = []
     for (name, category), energy in ranked[:top]:
@@ -100,6 +97,58 @@ def identify_bottlenecks(report: EnergyReport, top: int = 5,
                                       energy=energy, share=share,
                                       hint=_HINTS[category]))
     return bottlenecks
+
+
+def _by_component(report: EnergyReport) -> Dict[Tuple[str, Category], Any]:
+    """Energy per ``(name, category)`` component, in entry order."""
+    groups: Dict[Tuple[str, Category], Any] = {}
+    for entry in report.entries:
+        key = (entry.name, entry.category)
+        groups[key] = groups.get(key, 0.0) + entry.energy
+    return groups
+
+
+def top_bottleneck(report: EnergyReport, size: Optional[int] = None,
+                   rows: Optional[List[int]] = None):
+    """The top energy consumer, ranked as :func:`identify_bottlenecks`
+    ranks: the first component of the largest energy, in entry order.
+
+    For a one-point report (``size`` None), a :class:`Bottleneck`, or
+    None when the total energy is not positive.  For a column report of
+    ``size`` points, the :class:`~repro.explore.block.PointBlock`
+    columns ``(causes, top, energy, share)`` of ``rows`` (None: every
+    row, in order), ``top`` None where a row's total is not positive.
+    """
+    groups = _by_component(report)
+    total = report.total_energy
+    if size is None:
+        if total <= 0:
+            return None
+        (name, category), energy = max(groups.items(),
+                                       key=lambda kv: kv[1])
+        return Bottleneck(name=name, category=category, energy=energy,
+                          share=energy / total, hint=_HINTS[category])
+    count = size if rows is None else len(rows)
+    if not groups:
+        return (), [None] * count, [0.0] * count, [0.0] * count
+    import numpy
+    keys = list(groups)
+    matrix = numpy.vstack([dense(groups[key], size) for key in keys])
+    top = matrix.argmax(axis=0)
+    top_energy = matrix[top, numpy.arange(size)]
+    total = dense(total, size)
+    share = numpy.zeros(size)
+    positive = total > 0.0
+    numpy.divide(top_energy, total, out=share, where=positive)
+    if rows is not None:
+        top, top_energy, share, positive = \
+            top[rows], top_energy[rows], share[rows], positive[rows]
+    top_list = top.tolist()
+    if not positive.all():
+        top_list = [cause if keep else None
+                    for cause, keep in zip(top_list, positive.tolist())]
+    causes = [key + (_HINTS[key[1]],) for key in keys]
+    return causes, top_list, top_energy.tolist(), share.tolist()
 
 
 def dominant_category(report: EnergyReport) -> Optional[Category]:

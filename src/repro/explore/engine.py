@@ -35,7 +35,7 @@ from repro.api.simulator import Simulator
 from repro.energy.report import EnergyReport
 from repro.exceptions import CamJError, ConfigurationError, \
     SerializationError, VectorUnsupported
-from repro.explore.annotate import Bottleneck, identify_bottlenecks
+from repro.explore.annotate import Bottleneck, top_bottleneck
 from repro.resilience.faults import get_injector
 from repro.explore.metrics import Metric, metric as _lookup_metric, \
     resolve_metrics
@@ -707,15 +707,16 @@ def explore(space: ParameterSpace,
     engine:
         Point-evaluation strategy.  ``"auto"`` (default) routes groups
         of :data:`~repro.explore.vector.VECTOR_MIN_POINTS`-or-more
-        points that share one design and vary only in options through
-        the vectorized structure-of-arrays path
-        (:mod:`repro.explore.vector`) — bit-identical results, orders
-        of magnitude faster — and everything else through the object
-        path.  ``"vector"`` vectorizes every group it can (any size)
-        and raises :class:`ConfigurationError` when an objective is not
-        ``elementwise``; unsupported *designs* still fall back per
-        group.  ``"object"`` forces today's per-point path for
-        everything.
+        points that share one design and vary only in options to the
+        vector path (:mod:`repro.explore.vector`), which hands each
+        group to the simulation engine as one call over columns of
+        operating points — bit-identical results, orders of magnitude
+        faster — and everything else to the object path, one engine
+        call per point.  ``"vector"`` vectorizes every group it can
+        (any size) and raises :class:`ConfigurationError` when an
+        objective is not ``elementwise``; unsupported *designs* still
+        fall back per group.  ``"object"`` runs every point on its
+        own.
 
     Builder failures, simulation failures (timing, stalls), and metric
     extraction failures are all :class:`CamJError`-typed infeasible
@@ -1023,11 +1024,9 @@ def _evaluate_point(params: Dict[str, Any], design: Design,
                 failure_type=type(error).__name__,
                 failure=f"metric {objective.name!r}: {error}",
                 report=result.report)
-    bottleneck = None
-    if annotate:
-        top = identify_bottlenecks(result.report, top=1, min_share=0.0)
-        bottleneck = top[0] if top else None
     return ExplorationPoint(params=params, metrics=values,
                             design_name=design.name,
                             design_hash=result.design_hash,
-                            bottleneck=bottleneck, report=result.report)
+                            bottleneck=(top_bottleneck(result.report)
+                                        if annotate else None),
+                            report=result.report)

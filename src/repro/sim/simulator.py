@@ -4,7 +4,11 @@
 DAG validation, mapping resolution, pre-simulation design checks,
 cycle-level digital simulation, frame-rate-driven delay inference, and
 the three energy models, producing a component-level
-:class:`repro.energy.report.EnergyReport`.
+:class:`repro.energy.report.EnergyReport`.  It is the only engine: the
+operating point (frame rate, exposure slots) is one number each for a
+single run, or one column each for a group of points over one design —
+the vectorized explore path — and the same passes serve both, the
+energy models evaluating a column element-wise (:mod:`repro.columns`).
 
 The engine is organized as explicit *passes* (:data:`SIM_PASSES`), each
 declaring which inputs it reads.  Passes that read only the design —
@@ -34,10 +38,11 @@ from repro.energy.analog_model import analog_energy, analog_usage
 from repro.energy.comm_model import communication_energy
 from repro.energy.digital_model import digital_energy
 from repro.energy.report import EnergyReport
+from repro.exceptions import CamJError
 from repro.hw.chip import SensorSystem
 from repro.sim.checks import run_pre_simulation_checks
 from repro.sim.cycle_sim import cycle_accurate_latency, simulate_digital
-from repro.sim.delay import estimate_frame_timing
+from repro.sim.delay import estimate_frame_timing, per_point
 from repro.sim.mapping import Mapping
 from repro.sw.dag import StageGraph
 from repro.sw.stage import Stage
@@ -93,7 +98,9 @@ class PassCounters:
     Memoized passes count only their *actual* runs — a frame-rate sweep
     over one design notes ``timeline`` once and ``timing`` once per
     rate, which is exactly the incremental-simulation claim tests
-    assert.
+    assert.  An engine call over columns of operating points counts as
+    one run of each option-dependent pass, however many points it
+    evaluates.
     """
 
     def __init__(self) -> None:
@@ -161,15 +168,15 @@ def _run_pass(name: str, memo: Optional[PassMemo],
 
 
 def _simulate_graph(graph: StageGraph, system: SensorSystem,
-                    mapping: Mapping, frame_rate: float,
-                    exposure_slots: int = 1,
+                    mapping: Mapping,
+                    frame_rate: Union[float, Sequence[float]],
+                    exposure_slots: Union[int, Sequence[int]] = 1,
                     cycle_accurate: bool = False,
                     skip_checks: bool = False,
                     mapping_validated: bool = False,
                     resolved: Optional[Dict[str, object]] = None,
                     memo: Optional[PassMemo] = None,
-                    counters: Optional[PassCounters] = None
-                    ) -> EnergyReport:
+                    counters: Optional[PassCounters] = None):
     """The simulation engine over already-normalized design objects.
 
     ``mapping_validated`` lets callers that validated at construction
@@ -183,60 +190,83 @@ def _simulate_graph(graph: StageGraph, system: SensorSystem,
     which passes actually executed.  With or without either, the report
     is bit-identical (``tests/test_passes.py`` holds the single-body
     reference engine this is checked against).
+
+    ``frame_rate`` and ``exposure_slots`` are one number each — the
+    result is an :class:`EnergyReport`, and a failure raises — or
+    per-point columns (see :func:`~repro.sim.delay.estimate_frame_timing`).
+    For columns the result is ``(report, failures)``: the column report
+    of the points that simulated, in order (``None`` when none did), and
+    each other point's position mapped to its :class:`CamJError` — its
+    :class:`TimingError` when over budget, else the failing pass's
+    error.  Each element equals the report of its point alone, bit for
+    bit.
     """
-    if not mapping_validated:
-        mapping.validate(graph, system)
-    memo = memo if memo is not None else PassMemo()
-    if resolved is None:
-        resolved = _run_pass(
-            "resolve", memo, counters,
-            lambda: mapping.resolve(graph, system, validate=False))
-    local_resolved = resolved
-    if not skip_checks:
-        def _checks() -> bool:
-            run_pre_simulation_checks(graph, system, mapping,
-                                      resolved=local_resolved)
-            return True
-        _run_pass("checks", memo, counters, _checks)
+    columns = per_point(frame_rate) or per_point(exposure_slots)
+    over: Dict[int, CamJError] = {}
+    try:
+        if not mapping_validated:
+            mapping.validate(graph, system)
+        memo = memo if memo is not None else PassMemo()
+        if resolved is None:
+            resolved = _run_pass(
+                "resolve", memo, counters,
+                lambda: mapping.resolve(graph, system, validate=False))
+        local_resolved = resolved
+        if not skip_checks:
+            def _checks() -> bool:
+                run_pre_simulation_checks(graph, system, mapping,
+                                          resolved=local_resolved)
+                return True
+            _run_pass("checks", memo, counters, _checks)
 
-    timeline = _run_pass(
-        "timeline", memo, counters,
-        lambda: simulate_digital(graph, system, mapping, resolved=resolved))
-    digital_latency = timeline.total_latency
-    if cycle_accurate:
-        digital_latency = _run_pass(
-            "cycle_sim", memo, counters,
-            lambda: cycle_accurate_latency(graph, system, mapping,
-                                           resolved=resolved))
+        timeline = _run_pass(
+            "timeline", memo, counters,
+            lambda: simulate_digital(graph, system, mapping,
+                                     resolved=resolved))
+        digital_latency = timeline.total_latency
+        if cycle_accurate:
+            digital_latency = _run_pass(
+                "cycle_sim", memo, counters,
+                lambda: cycle_accurate_latency(graph, system, mapping,
+                                               resolved=resolved))
 
-    participating = _run_pass(
-        "analog_usage", memo, counters,
-        lambda: analog_usage(graph, system, mapping, resolved=resolved))
-    timing = _run_pass(
-        "timing", memo, counters,
-        lambda: estimate_frame_timing(
-            frame_rate=frame_rate,
+        participating = _run_pass(
+            "analog_usage", memo, counters,
+            lambda: analog_usage(graph, system, mapping, resolved=resolved))
+        timing = _run_pass(
+            "timing", memo, counters,
+            lambda: estimate_frame_timing(
+                frame_rate=frame_rate,
+                digital_latency=digital_latency,
+                num_analog_arrays=len(participating),
+                exposure_slots=exposure_slots))
+        if columns:
+            timing, over = timing
+            if timing is None:
+                return None, over
+
+        report = EnergyReport(
+            system_name=system.name,
+            frame_rate=timing.frame_rate,
+            frame_time=timing.frame_time,
             digital_latency=digital_latency,
-            num_analog_arrays=len(participating),
-            exposure_slots=exposure_slots))
-
-    report = EnergyReport(
-        system_name=system.name,
-        frame_rate=frame_rate,
-        frame_time=timing.frame_time,
-        digital_latency=digital_latency,
-        analog_stage_delay=timing.analog_stage_delay)
-    report.extend(_run_pass(
-        "analog_energy", memo, counters,
-        lambda: analog_energy(participating, timing.analog_stage_delay)))
-    report.extend(_run_pass(
-        "digital_energy", memo, counters,
-        lambda: digital_energy(system, timeline, timing.frame_time)))
-    report.extend(_run_pass(
-        "comm_energy", memo, counters,
-        lambda: communication_energy(graph, system, mapping,
-                                     resolved=resolved)))
-    return report
+            analog_stage_delay=timing.analog_stage_delay)
+        report.extend(_run_pass(
+            "analog_energy", memo, counters,
+            lambda: analog_energy(participating, timing.analog_stage_delay)))
+        report.extend(_run_pass(
+            "digital_energy", memo, counters,
+            lambda: digital_energy(system, timeline, timing.frame_time)))
+        report.extend(_run_pass(
+            "comm_energy", memo, counters,
+            lambda: communication_energy(graph, system, mapping,
+                                         resolved=resolved)))
+    except CamJError as error:
+        if not columns:
+            raise
+        size = len(frame_rate if per_point(frame_rate) else exposure_slots)
+        return None, {row: over.get(row, error) for row in range(size)}
+    return (report, over) if columns else report
 
 
 def simulate(stages: Union[StageGraph, Sequence[Stage]],

@@ -182,6 +182,20 @@ class TestSimOptions:
         with pytest.raises(ConfigurationError):
             SimOptions(exposure_slots=0)
 
+    def test_nan_frame_rate_rejected_and_inf_over_budget(self):
+        from repro import simulate
+
+        with pytest.raises(ConfigurationError,
+                           match="frame rate must be positive, got nan"):
+            SimOptions(frame_rate=float("nan"))
+        design = build_fig5_design()
+        with pytest.raises(ConfigurationError,
+                           match="frame rate must be positive, got nan"):
+            simulate(design.graph, design.system, design.mapping,
+                     frame_rate=float("nan"))
+        result = Simulator().run(design, SimOptions(frame_rate=float("inf")))
+        assert result.error_type == "TimingError"
+
     def test_round_trip(self):
         options = SimOptions(frame_rate=60.0, cycle_accurate=True)
         assert SimOptions.from_dict(options.to_dict()) == options

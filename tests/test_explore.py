@@ -1037,6 +1037,23 @@ class TestChunking:
         assert result.engines == {"vectorized": 4, "fallback": 0}
 
 
+    def test_nan_frame_rate_is_one_typed_failure_on_both_engines(self):
+        space = choice("options.frame_rate", [30, 60, float("nan"), 90])
+        results = {engine: explore(space, build_fig5_design, engine=engine)
+                   for engine in ("object", "vector")}
+        assert results["vector"].engines == {"vectorized": 3, "fallback": 0}
+        documents = []
+        for result in results.values():
+            assert [point.feasible for point in result.points] == [
+                True, True, False, True]
+            failed = result.points[2]
+            assert failed.failure_type == "ConfigurationError"
+            assert failed.failure == "frame rate must be positive, got nan"
+            documents.append([json.dumps(point.to_dict())
+                              for point in result.points])
+        assert documents[0] == documents[1]
+
+
 class TestDesignGroups:
     def test_a_product_explores_as_columns_grouped_by_design(
             self, monkeypatch):

@@ -4,16 +4,21 @@ The engine (:mod:`repro.sim.simulator`) runs as declared passes
 (:data:`SIM_PASSES`); design-only passes memoize per design, so option
 sweeps re-run only the option-dependent passes — and the result must be
 bit-identical to the pre-split monolithic body, which is kept here as
-:func:`_simulate_graph_monolithic` exactly for these assertions.
+:func:`_simulate_graph_monolithic` exactly for these assertions.  A call
+over columns of operating points must equal that body called once per
+row.
 """
 
 import pytest
 
 from repro.api import Design, SimOptions, Simulator
+from repro.api.result import ResultBlock
 from repro.energy.analog_model import analog_energy, analog_usage
 from repro.energy.comm_model import communication_energy
 from repro.energy.digital_model import digital_energy
 from repro.energy.report import EnergyReport
+from repro.exceptions import TimingError
+from repro.explore import choice, explore
 from repro.sim.checks import run_pre_simulation_checks
 from repro.sim.cycle_sim import cycle_accurate_latency, simulate_digital
 from repro.sim.delay import estimate_frame_timing
@@ -285,3 +290,116 @@ class TestIncrementalReruns(_Sweeps):
         runs = session.pass_info()
         assert runs["timeline"] == 1
         assert runs["timing"] == len(items)
+
+
+class TestColumnEngine:
+    """One engine call over columns of operating points equals the
+    monolithic body called once per row."""
+
+    def _assert_rows_match(self, design, frame_rates, slots):
+        counters = PassCounters()
+        report, failures = _simulate_graph(
+            design.graph, design.system, design.mapping,
+            frame_rate=frame_rates, exposure_slots=slots, counters=counters)
+        fitting = []
+        for row, (rate, slot) in enumerate(zip(frame_rates, slots)):
+            try:
+                expected = _simulate_graph_monolithic(
+                    design.graph, design.system, design.mapping,
+                    frame_rate=rate, exposure_slots=slot)
+            except TimingError as error:
+                assert type(failures[row]) is TimingError
+                assert str(failures[row]) == str(error)
+                continue
+            assert row not in failures
+            fitting.append((row, expected))
+        assert len(failures) == len(frame_rates) - len(fitting)
+        if not fitting:
+            assert report is None
+        else:
+            block = ResultBlock(
+                design_name=design.name, design_hash=None,
+                options=[SimOptions(frame_rate=frame_rates[row],
+                                    exposure_slots=slots[row])
+                         for row, _ in fitting],
+                report=report)
+            for position, (_, expected) in enumerate(fitting):
+                assert block.result(position).report.to_dict() \
+                    == expected.to_dict()
+        # A column call is one run of each option-dependent pass.
+        runs = counters.snapshot()
+        for name in _OPTION_DEPENDENT:
+            assert runs.get(name) == (1 if fitting or name == "timing"
+                                      else None), name
+
+    @pytest.mark.parametrize("builder", [
+        build_fig5_design,
+        lambda: build_rhythmic(UseCaseConfig("2D-In", 65)),
+        lambda: build_edgaze(UseCaseConfig("3D-In", 65)),
+    ], ids=["fig5", "rhythmic", "edgaze"])
+    def test_rows_equal_the_monolithic_engine(self, builder):
+        # 30 is an int; 1e7 and 3e7 FPS leave no analog budget.
+        self._assert_rows_match(builder(),
+                                [15.0, 30, 1e7, 60.0, 120.0, 3e7],
+                                [1, 2, 1, 3, 1, 2])
+
+    def test_a_group_where_every_row_fails(self):
+        self._assert_rows_match(build_fig5_design(), [1e7, 2e7, 5e7],
+                                [1, 1, 2])
+
+    def test_a_number_is_shared_by_every_row(self):
+        design = build_fig5_design()
+        report, failures = _simulate_graph(
+            design.graph, design.system, design.mapping,
+            frame_rate=[30.0, 60.0], exposure_slots=2)
+        assert not failures
+        for row, rate in enumerate((30.0, 60.0)):
+            expected = _simulate_graph_monolithic(
+                design.graph, design.system, design.mapping,
+                frame_rate=rate, exposure_slots=2)
+            assert report.analog_stage_delay[row] \
+                == expected.analog_stage_delay
+
+    def test_a_failing_pass_fails_the_rows_that_fit(self, monkeypatch):
+        """Rows over budget keep their TimingError and the rest get the
+        failing pass's error, as one call per row reports them."""
+        import repro.sim.simulator as engine
+        from repro.exceptions import SimulationError
+
+        def broken(*args, **kwargs):
+            raise SimulationError("no link")
+
+        monkeypatch.setattr(engine, "communication_energy", broken)
+        design = build_fig5_design()
+        rates = [30.0, 1e7, 60.0]
+        report, failures = _simulate_graph(
+            design.graph, design.system, design.mapping, frame_rate=rates,
+            exposure_slots=[1, 1, 1])
+        assert report is None
+        for row, rate in enumerate(rates):
+            with pytest.raises((SimulationError, TimingError)) as raised:
+                _simulate_graph(design.graph, design.system, design.mapping,
+                                frame_rate=rate)
+            assert type(failures[row]) is raised.type
+            assert str(failures[row]) == str(raised.value)
+
+
+class TestVectorPathPasses(_Sweeps):
+    def test_vector_explore_shares_the_session_pass_memo(self):
+        design = build_fig5_design()
+        with Simulator() as session:
+            result = explore(choice("options.frame_rate", self.FRAME_RATES),
+                             lambda: design, simulator=session,
+                             engine="vector")
+            assert result.engines == {"vectorized": len(self.FRAME_RATES),
+                                      "fallback": 0}
+            # One column call: each pass ran once, for every rate.
+            assert session.pass_info() == {
+                name: 1 for name in _DESIGN_ONLY | _OPTION_DEPENDENT
+                if name not in ("resolve", "checks", "cycle_sim")}
+            assert session.run(design, SimOptions(frame_rate=45.0)).ok
+            runs = session.pass_info()
+        for name in ("timeline", "analog_usage", "comm_energy"):
+            assert runs[name] == 1, name
+        for name in _OPTION_DEPENDENT:
+            assert runs[name] == 2, name
