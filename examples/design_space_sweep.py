@@ -10,8 +10,8 @@ feedback CamJ gives a designer, now phrased as design-space exploration:
 3. a two-axis product space (process node x PE clock) with a filtered
    subspace, explored against energy and latency with Pareto frontier
    extraction and bottleneck annotation;
-4. the legacy 1-D ``sweep_parameter`` shim sweeping a *non-numeric*
-   parameter (the line-buffer technology flavor).
+4. a one-axis exploration over a *non-numeric* parameter (the
+   line-buffer technology flavor).
 
 Run:  python examples/design_space_sweep.py
 """
@@ -31,7 +31,6 @@ from repro import (
     Simulator,
     units,
 )
-from repro.analysis import sweep_parameter
 from repro.explore import choice, explore, linspace, product
 from repro.tech import mac_energy
 
@@ -120,12 +119,14 @@ def main():
                  else ""))
 
     print("\n=== 4. non-numeric sweep: line-buffer technology flavor ===")
-    points = sweep_parameter(
+    flavors = explore(
+        choice("flavor", list(BUFFER_FLAVORS)),
         lambda flavor: build(buffer_energy_pj=BUFFER_FLAVORS[flavor]),
-        list(BUFFER_FLAVORS))
-    for point in points:
-        print(f"  {point.parameter:>8}: "
-              f"{units.format_energy(point.report.total_energy)}/frame")
+        objectives=("energy_per_frame",), annotate=False)
+    for point in flavors.points:
+        print(f"  {point.params['flavor']:>8}: "
+              f"{units.format_energy(point.metrics['energy_per_frame'])}"
+              f"/frame")
 
 
 if __name__ == "__main__":

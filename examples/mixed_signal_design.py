@@ -19,10 +19,10 @@ from repro.usecases.edgaze_mixed import build_edgaze_mixed
 
 def main():
     print("=== The Fig. 10 hardware ===")
-    stages, system, mapping = build_edgaze_mixed(65)
-    print(system.describe())
+    design = build_edgaze_mixed(65)
+    print(design.system.describe())
     print("\nmapping:")
-    for stage, unit in mapping.items():
+    for stage, unit in design.mapping.assignments.items():
         print(f"  {stage:16s} -> {unit}")
 
     print("\n=== Fig. 11: against the fully-digital 2D-In design ===")

@@ -110,7 +110,8 @@ def main():
           f" = the 33.3 ms frame time of Fig. 6)")
     print()
     from repro.sim.chart import pipeline_chart
-    print(pipeline_chart(*design, frame_rate=30))
+    print(pipeline_chart(design.stages, design.system, design.mapping,
+                         frame_rate=30))
     print()
     print("per-component breakdown:")
     for name, energy in sorted(report.by_component().items()):

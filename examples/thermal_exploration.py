@@ -30,10 +30,10 @@ def main():
     rows = []
     for placement in ("2D-Off", "3D-In", "2D-In"):
         config = UseCaseConfig(placement, 65)
-        _, system, _ = build_edgaze(config)
+        system = build_edgaze(config).system
         report = run_edgaze(config)
         rows.append((placement, system, report))
-    _, mixed_system, _ = build_edgaze_mixed(65)
+    mixed_system = build_edgaze_mixed(65).system
     rows.append(("2D-In-Mixed", mixed_system, run_edgaze_mixed(65)))
 
     for label, system, report in rows:

@@ -15,7 +15,7 @@ from repro.usecases.threelayer import build_three_layer, run_three_layer
 
 def main():
     print("=== The stack ===")
-    _, system, _ = build_three_layer()
+    system = build_three_layer().system
     print(system.describe())
 
     print("\n=== Burst-rate sweep ===")

@@ -19,121 +19,56 @@ Designs round-trip through ``Design.to_dict()`` / ``Design.from_dict()``
 ``Simulator.run_many`` fans a batch out across worker threads with
 content-hash result caching.  The classic functional entry point
 :func:`simulate` remains as a thin wrapper over the same engine.
+
+Every name below resolves on first access (see :mod:`repro._lazy`), so
+``import repro`` itself loads none of the modules behind them.
 """
 
-from repro import units
-from repro.exceptions import (
-    CamJError,
-    CheckError,
-    ConfigurationError,
-    DAGError,
-    DomainMismatchError,
-    MappingError,
-    SimulationError,
-    StallError,
-    TimingError,
-)
-from repro.sw import (
-    Conv2DStage,
-    DepthwiseConv2DStage,
-    DNNProcessStage,
-    FullyConnectedStage,
-    PixelInput,
-    ProcessStage,
-    Stage,
-    StageGraph,
-)
-from repro.hw.analog import (
-    ActiveAnalogMemory,
-    ActivePixelSensor,
-    AnalogAbs,
-    AnalogAdder,
-    AnalogArray,
-    AnalogComparator,
-    AnalogComponent,
-    AnalogLog,
-    AnalogMAC,
-    AnalogMax,
-    AnalogScaling,
-    CellUsage,
-    ColumnADC,
-    CurrentDomainMAC,
-    DigitalPixelSensor,
-    PassiveAnalogMemory,
-    PWMPixel,
-    SampleAndHold,
-    SignalDomain,
-    SwitchedCapSubtractor,
-)
-from repro.hw.chip import SensorSystem
-from repro.hw.digital import (
-    ComputeUnit,
-    DoubleBuffer,
-    FIFO,
-    LineBuffer,
-    SystolicArray,
-)
-from repro.hw.interface import Interface, MIPI_CSI2, MicroTSV
-from repro.hw.layer import COMPUTE_LAYER, Layer, OFF_CHIP, SENSOR_LAYER
-from repro.memlib import DRAMModel, SRAMModel, STTRAMModel
-from repro.energy import Category, EnergyEntry, EnergyReport
-from repro.sim import Mapping, simulate
-from repro.api import (
-    Design,
-    SimOptions,
-    SimResult,
-    Simulator,
-    build_usecase,
-    design_from_spec,
-    load_scenario,
-    register_usecase,
-    run_design,
-)
-from repro.area import estimate_area, power_density
-# The design-space exploration layer (spaces, metrics, Pareto engine)
-# lives in `repro.explore`; only the result/metric values are re-exported
-# here so the `repro.explore` submodule name stays importable unshadowed.
-from repro.explore import (
-    ExplorationPoint,
-    ExplorationResult,
-    Metric,
-    available_metrics,
-    register_metric,
-)
+from repro import _lazy
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "units",
-    # exceptions
-    "CamJError", "CheckError", "ConfigurationError", "DAGError",
-    "DomainMismatchError", "MappingError", "SimulationError", "StallError",
-    "TimingError",
+_lazy.install(globals(), {
+    "repro": ("units",),
+    "repro.exceptions": (
+        "CamJError", "CheckError", "ConfigurationError", "DAGError",
+        "DomainMismatchError", "MappingError", "SimulationError",
+        "StallError", "TimingError"),
     # software description
-    "Stage", "PixelInput", "ProcessStage", "DNNProcessStage", "Conv2DStage",
-    "DepthwiseConv2DStage", "FullyConnectedStage", "StageGraph",
+    "repro.sw": (
+        "Stage", "PixelInput", "ProcessStage", "DNNProcessStage",
+        "Conv2DStage", "DepthwiseConv2DStage", "FullyConnectedStage",
+        "StageGraph"),
     # analog hardware
-    "SignalDomain", "AnalogArray", "AnalogComponent", "CellUsage",
-    "ActivePixelSensor", "DigitalPixelSensor", "PWMPixel", "ColumnADC",
-    "AnalogMAC", "CurrentDomainMAC", "AnalogAdder", "AnalogMax",
-    "AnalogScaling", "AnalogLog", "AnalogAbs", "AnalogComparator",
-    "PassiveAnalogMemory", "ActiveAnalogMemory", "SampleAndHold",
-    "SwitchedCapSubtractor",
+    "repro.hw.analog": (
+        "SignalDomain", "AnalogArray", "AnalogComponent", "CellUsage",
+        "ActivePixelSensor", "DigitalPixelSensor", "PWMPixel", "ColumnADC",
+        "AnalogMAC", "CurrentDomainMAC", "AnalogAdder", "AnalogMax",
+        "AnalogScaling", "AnalogLog", "AnalogAbs", "AnalogComparator",
+        "PassiveAnalogMemory", "ActiveAnalogMemory", "SampleAndHold",
+        "SwitchedCapSubtractor"),
     # digital hardware
-    "ComputeUnit", "SystolicArray", "FIFO", "LineBuffer", "DoubleBuffer",
+    "repro.hw.digital": (
+        "ComputeUnit", "SystolicArray", "FIFO", "LineBuffer",
+        "DoubleBuffer"),
     # system assembly
-    "SensorSystem", "Layer", "SENSOR_LAYER", "COMPUTE_LAYER", "OFF_CHIP",
-    "Interface", "MIPI_CSI2", "MicroTSV",
+    "repro.hw.chip": ("SensorSystem",),
+    "repro.hw.layer": ("Layer", "SENSOR_LAYER", "COMPUTE_LAYER", "OFF_CHIP"),
+    "repro.hw.interface": ("Interface", "MIPI_CSI2", "MicroTSV"),
     # memory substrate
-    "SRAMModel", "STTRAMModel", "DRAMModel",
+    "repro.memlib": ("SRAMModel", "STTRAMModel", "DRAMModel"),
     # simulation and reporting
-    "Mapping", "simulate", "EnergyReport", "EnergyEntry", "Category",
-    "estimate_area", "power_density",
+    "repro.sim": ("Mapping", "simulate"),
+    "repro.energy": ("EnergyReport", "EnergyEntry", "Category"),
+    "repro.area": ("estimate_area", "power_density"),
     # session API
-    "Design", "SimOptions", "SimResult", "Simulator", "run_design",
-    "build_usecase", "register_usecase", "design_from_spec",
-    "load_scenario",
-    # design-space exploration (see repro.explore for the full surface)
-    "ExplorationPoint", "ExplorationResult", "Metric", "register_metric",
-    "available_metrics",
-]
+    "repro.api": (
+        "Design", "SimOptions", "SimResult", "Simulator", "run_design",
+        "build_usecase", "register_usecase", "design_from_spec",
+        "load_scenario"),
+    # design-space exploration: the result and metric values only (see
+    # repro.explore for the full surface)
+    "repro.explore": (
+        "ExplorationPoint", "ExplorationResult", "Metric",
+        "register_metric", "available_metrics"),
+}, submodules=("columns", "exec", "resilience", "tech"))

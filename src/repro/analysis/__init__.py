@@ -3,37 +3,21 @@
 The paper positions CamJ inside an iterative refinement loop (Sec. 3.1):
 estimate, *identify energy bottlenecks*, re-design the offending
 component, re-estimate.  This subpackage provides that loop's analysis
-half: bottleneck ranking, report-to-report comparison, and parameter
-sweeps.
-
-Sweeps, Pareto analysis, and bottleneck ranking are compatibility shims
-over :mod:`repro.explore` — the unified design-space exploration engine
-with composable multi-axis spaces, a named-metric registry, N-objective
-frontiers, and JSON round-tripping.  New code should prefer
-:func:`repro.explore.explore` directly.
+half: bottleneck ranking (implemented in :mod:`repro.explore.annotate`,
+where the exploration engine annotates frontier points with it) and
+report-to-report comparison.  Sweeps and Pareto analysis are
+explorations: see :func:`repro.explore.explore`.
 """
 
-from repro.analysis.bottleneck import (
-    Bottleneck,
-    identify_bottlenecks,
-    dominant_category,
-)
 from repro.analysis.compare import (
     ReportDelta,
     compare_reports,
     savings_fraction,
 )
-from repro.analysis.sweep import (
-    SweepPoint,
-    sweep_frame_rate,
-    sweep_nodes,
-    sweep_parameter,
-)
-from repro.analysis.pareto import (
-    DesignPoint,
-    design_point,
-    pareto_front,
-    dominated_points,
+from repro.explore.annotate import (
+    Bottleneck,
+    dominant_category,
+    identify_bottlenecks,
 )
 
 __all__ = [
@@ -43,12 +27,4 @@ __all__ = [
     "ReportDelta",
     "compare_reports",
     "savings_fraction",
-    "SweepPoint",
-    "sweep_frame_rate",
-    "sweep_nodes",
-    "sweep_parameter",
-    "DesignPoint",
-    "design_point",
-    "pareto_front",
-    "dominated_points",
 ]

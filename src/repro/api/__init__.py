@@ -2,8 +2,10 @@
 
 This package turns the paper's three-part interface into values:
 
-* :class:`Design` — a frozen, hashable, JSON-serializable bundle of
-  ``(StageGraph, SensorSystem, Mapping)``;
+* :class:`Design` — a frozen, hashable, JSON-serializable bundle of a
+  :class:`~repro.sw.dag.StageGraph`, a
+  :class:`~repro.hw.chip.SensorSystem` and a
+  :class:`~repro.sim.mapping.Mapping`;
 * :class:`SimOptions` / :class:`SimResult` — frozen run options and the
   structured outcome (report or typed failure) of one simulation;
 * :class:`Simulator` — a session that runs designs, caches results by
@@ -11,35 +13,21 @@ This package turns the paper's three-part interface into values:
 * the spec layer (:func:`load_scenario`, :func:`design_from_spec`) and
   the use-case registry (:func:`build_usecase`), which make every
   scenario storable, diffable, and replayable as plain JSON.
+
+Names resolve on first access (see :mod:`repro._lazy`).
 """
 
-from repro.api.design import Design
-from repro.api.diskcache import DiskCacheInfo, DiskResultCache
-from repro.api.registry import (
-    available_usecases,
-    build_usecase,
-    register_usecase,
-)
-from repro.api.result import SimOptions, SimResult
-from repro.api.serialize import DESIGN_SCHEMA
-from repro.api.simulator import BatchStats, CacheInfo, Simulator, run_design
-from repro.api.spec import design_from_spec, load_scenario, scenario_from_spec
+from repro import _lazy
 
-__all__ = [
-    "Design",
-    "SimOptions",
-    "SimResult",
-    "Simulator",
-    "BatchStats",
-    "CacheInfo",
-    "DiskCacheInfo",
-    "DiskResultCache",
-    "run_design",
-    "DESIGN_SCHEMA",
-    "design_from_spec",
-    "scenario_from_spec",
-    "load_scenario",
-    "build_usecase",
-    "register_usecase",
-    "available_usecases",
-]
+_lazy.install(globals(), {
+    "repro.api.design": ("Design",),
+    "repro.api.result": ("SimOptions", "SimResult"),
+    "repro.api.simulator": (
+        "Simulator", "BatchStats", "CacheInfo", "run_design"),
+    "repro.api.diskcache": ("DiskCacheInfo", "DiskResultCache"),
+    "repro.api.serialize": ("DESIGN_SCHEMA",),
+    "repro.api.spec": (
+        "design_from_spec", "scenario_from_spec", "load_scenario"),
+    "repro.api.registry": (
+        "build_usecase", "register_usecase", "available_usecases"),
+})

@@ -5,19 +5,18 @@ A :class:`Design` bundles the paper's three-part programming interface
 :class:`~repro.hw.chip.SensorSystem`, and the
 :class:`~repro.sim.mapping.Mapping` between them — into a single frozen
 value that can be hashed, serialized to JSON, stored, diffed, and
-replayed.  It also unpacks like the legacy ``(stages, system, mapping)``
-triple, so every pre-existing consumer of the builder functions keeps
-working unchanged.
+replayed.  Its parts are the :attr:`~Design.stages`,
+:attr:`~Design.system` and :attr:`~Design.mapping` properties.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.api import serialize
-from repro.exceptions import SerializationError
+from repro.exceptions import ConfigurationError, SerializationError
 from repro.hw.chip import SensorSystem
 from repro.sim.mapping import Mapping
 from repro.sw.dag import StageGraph
@@ -170,23 +169,6 @@ class Design:
             # across every captured SimResult.
             raise type(cached)(*cached.args) from cached
 
-    # --- legacy triple protocol ---------------------------------------------
-
-    def __iter__(self) -> Iterator:
-        """Unpack like the legacy ``(stages, system, mapping)`` triple."""
-        return iter(self.as_tuple())
-
-    def __len__(self) -> int:
-        return 3
-
-    def __getitem__(self, index):
-        return self.as_tuple()[index]
-
-    def as_tuple(self):
-        """``(stage_list, system, mapping_dict)`` — the legacy triple."""
-        return (list(self._stages), self._system,
-                dict(self._mapping.assignments))
-
     # --- serialization ----------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
@@ -294,3 +276,19 @@ class Design:
             digest = "<unhashable>"
         return (f"Design({self._name!r}, stages={len(self._stages)}, "
                 f"hash={digest})")
+
+
+def require_design(built: Any, builder: Any) -> Design:
+    """``built``, checked to be a :class:`Design`.
+
+    ``builder`` is what produced it: a callable, or a label such as
+    ``"usecase 'fig5'"``.  Any other result is a
+    :class:`~repro.exceptions.ConfigurationError` naming the builder and
+    the type it returned.
+    """
+    if isinstance(built, Design):
+        return built
+    label = builder if isinstance(builder, str) else \
+        f"builder {getattr(builder, '__qualname__', repr(builder))}"
+    raise ConfigurationError(
+        f"{label} returned {type(built).__name__}, not a Design")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
-from repro.api.design import Design
+from repro.api.design import Design, require_design
 from repro.exceptions import ConfigurationError
 
 _REGISTRY: Dict[str, Callable[..., Design]] = {}
@@ -82,8 +82,4 @@ def build_usecase(name: str, **params) -> Design:
         raise ConfigurationError(
             f"usecase {name!r} rejected params {sorted(params)}: "
             f"{error}") from error
-    if isinstance(built, Design):
-        return built
-    # A legacy builder returning the loose triple still works.
-    stages, system, mapping = built
-    return Design(stages, system, mapping)
+    return require_design(built, f"usecase {name!r}")

@@ -327,7 +327,7 @@ class Simulator:
         if not isinstance(design, Design):
             raise ConfigurationError(
                 f"Simulator.run expects a Design, got "
-                f"{type(design).__name__}; wrap the legacy triple via "
+                f"{type(design).__name__}; bundle the parts with "
                 f"Design(stages, system, mapping)")
         resolved = options if options is not None else self.options
         return self._run_resolved(design, resolved, probe_disk=True)

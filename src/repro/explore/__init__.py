@@ -27,69 +27,28 @@ Quick taste::
                                  "latency"))
     for point in result.frontier():
         print(point.label(), point.metrics)
+
+Names resolve on first access (see :mod:`repro._lazy`).
 """
 
-from repro.explore.annotate import (
-    Bottleneck,
-    dominant_category,
-    identify_bottlenecks,
-)
-from repro.explore.engine import (
-    DEFAULT_OBJECTIVES,
-    ENGINE_CHOICES,
-    ENGINE_COUNTERS,
-    EXPLORATION_SCHEMA,
-    ExplorationInterrupted,
-    ExplorationPoint,
-    ExplorationResult,
-    dominance_ranks,
-    dominates,
-    explore,
-    explore_stream,
-    pareto_indices,
-)
-from repro.explore.metrics import (
-    Metric,
-    available_metrics,
-    metric,
-    register_metric,
-    resolve_metrics,
-)
-from repro.explore.space import (
-    Axis,
-    FilteredSpace,
-    ParameterSpace,
-    ProductSpace,
-    ZipSpace,
-    choice,
-    grid,
-    linspace,
-    product,
-    space_from_dict,
-    zipped,
-)
-from repro.explore.spec import (
-    EXPLORATION_SPEC_SCHEMA,
-    ExplorationSpec,
-    exploration_spec_from_dict,
-    load_exploration_spec,
-)
+from repro import _lazy
 
-__all__ = [
-    # spaces
-    "ParameterSpace", "Axis", "ProductSpace", "ZipSpace", "FilteredSpace",
-    "choice", "grid", "linspace", "product", "zipped", "space_from_dict",
-    # metrics
-    "Metric", "register_metric", "metric", "available_metrics",
-    "resolve_metrics",
-    # engine
-    "explore", "explore_stream", "ExplorationPoint", "ExplorationResult",
-    "ExplorationInterrupted", "dominates", "pareto_indices",
-    "dominance_ranks", "DEFAULT_OBJECTIVES", "EXPLORATION_SCHEMA",
-    "ENGINE_CHOICES", "ENGINE_COUNTERS",
-    # annotation
-    "Bottleneck", "identify_bottlenecks", "dominant_category",
-    # specs
-    "ExplorationSpec", "exploration_spec_from_dict",
-    "load_exploration_spec", "EXPLORATION_SPEC_SCHEMA",
-]
+_lazy.install(globals(), {
+    "repro.explore.space": (
+        "ParameterSpace", "Axis", "ProductSpace", "ZipSpace",
+        "FilteredSpace", "choice", "grid", "linspace", "product", "zipped",
+        "space_from_dict"),
+    "repro.explore.metrics": (
+        "Metric", "register_metric", "metric", "available_metrics",
+        "resolve_metrics"),
+    "repro.explore.engine": (
+        "explore", "explore_stream", "ExplorationPoint",
+        "ExplorationResult", "ExplorationInterrupted", "dominates",
+        "pareto_indices", "dominance_ranks", "DEFAULT_OBJECTIVES",
+        "EXPLORATION_SCHEMA", "ENGINE_CHOICES", "ENGINE_COUNTERS"),
+    "repro.explore.annotate": (
+        "Bottleneck", "identify_bottlenecks", "dominant_category"),
+    "repro.explore.spec": (
+        "ExplorationSpec", "exploration_spec_from_dict",
+        "load_exploration_spec", "EXPLORATION_SPEC_SCHEMA"),
+})

@@ -28,7 +28,7 @@ from itertools import repeat
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
-from repro.api.design import Design
+from repro.api.design import Design, require_design
 from repro.api.registry import build_usecase
 from repro.api.result import SimOptions, SimResult
 from repro.api.simulator import Simulator
@@ -61,9 +61,7 @@ ENGINE_CHOICES = ("auto", "vector", "object")
 #: (energy vs. power density) plus the latency the frame budget gates.
 DEFAULT_OBJECTIVES = ("energy_per_frame", "power_density", "latency")
 
-#: What a builder may produce: a Design or the legacy triple.
-BuilderResult = Union[Design, tuple]
-Builder = Union[str, Callable[..., BuilderResult]]
+Builder = Union[str, Callable[..., Design]]
 
 
 # --- N-objective dominance -------------------------------------------------
@@ -618,13 +616,6 @@ class ExplorationInterrupted(Exception):
     """
 
 
-def _as_design(built: BuilderResult) -> Design:
-    if isinstance(built, Design):
-        return built
-    stages, system, mapping = built
-    return Design(stages, system, mapping)
-
-
 class _SpaceColumns:
     """A space's columns, split once into builder and ``options.`` ones."""
 
@@ -691,8 +682,9 @@ def explore(space: ParameterSpace,
         override :class:`SimOptions` fields per point; all other names
         are keyword arguments of the builder.
     builder:
-        ``builder(**params) -> Design`` (or the legacy triple), or the
-        name of a registered use case.
+        ``builder(**params) -> Design``, or the name of a registered use
+        case.  A builder that raises a :class:`CamJError` or returns
+        anything but a :class:`Design` makes that point infeasible.
     objectives:
         Metric names (or :class:`Metric` values) to evaluate per point.
     options:
@@ -850,7 +842,7 @@ def explore_stream(space: ParameterSpace,
 
 
 def _run_chunk(columns: _SpaceColumns, start: int, stop: int,
-               build: Callable[..., BuilderResult],
+               build: Callable[..., Design],
                options_cache: _OptionsCache,
                built_cache: Dict[tuple, Union[Design, CamJError]],
                simulator: Simulator,
@@ -898,9 +890,9 @@ def _run_chunk(columns: _SpaceColumns, start: int, stop: int,
             values = key if type(key) is tuple else \
                 [column[key] for _, column in columns.builder]
             try:
-                design = _as_design(build(**{
+                design = require_design(build(**{
                     name: value for (name, _), value
-                    in zip(columns.builder, values)}))
+                    in zip(columns.builder, values)}), build)
             except CamJError as error:
                 design = error
             if type(key) is tuple:

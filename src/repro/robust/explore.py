@@ -29,7 +29,7 @@ import re
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
-from repro.api.design import Design
+from repro.api.design import Design, require_design
 from repro.api.registry import build_usecase
 from repro.api.result import SimOptions
 from repro.api.simulator import Simulator
@@ -190,10 +190,10 @@ def explore_robust(space: ParameterSpace,
             key = tuple(sorted(params.items()))
             nominal = nominal_cache.get(key)
             if nominal is None:
-                nominal = _as_built_design(build(**params))
+                nominal = require_design(build(**params), build)
                 nominal_cache[key] = nominal
         except TypeError:  # unhashable parameter values: rebuild
-            nominal = _as_built_design(build(**params))
+            nominal = require_design(build(**params), build)
         return perturb_design(nominal, variation.factors(seed, sample))
 
     sample_axis = choice(SAMPLE_AXIS,
@@ -215,14 +215,6 @@ def explore_robust(space: ParameterSpace,
         options=augmented.options, points=reduced_points,
         resilience=dict(augmented.resilience),
         engines=dict(augmented.engines))
-
-
-def _as_built_design(built: Any) -> Design:
-    if isinstance(built, Design):
-        return built
-    raise ConfigurationError(
-        f"robust exploration builders must return a Design, "
-        f"got {type(built).__name__}")
 
 
 def _reduce_point(block: Sequence[ExplorationPoint],

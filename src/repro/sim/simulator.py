@@ -278,8 +278,8 @@ def simulate(stages: Union[StageGraph, Sequence[Stage]],
              skip_checks: bool = False) -> EnergyReport:
     """Estimate the per-frame energy of ``system`` running ``stages``.
 
-    Back-compat wrapper: normalizes the loose argument triple and runs
-    the engine once.  Equivalent to
+    The paper's functional API (Fig. 5): bundles the three parts and
+    runs the engine once.  Equivalent to
     ``Simulator(SimOptions(...)).run(Design(stages, system, mapping)).unwrap()``.
 
     Parameters

@@ -63,8 +63,8 @@ def edgaze_stages() -> List:
 def build_edgaze(config: UseCaseConfig) -> Design:
     """Build the Ed-Gaze scenario for one configuration.
 
-    Returns a :class:`Design` (which still unpacks like the legacy
-    ``(stages, system, mapping)`` triple).
+    Returns a :class:`Design`; read its parts as ``.stages``,
+    ``.system`` and ``.mapping``.
     """
     stages = edgaze_stages()
 

@@ -52,8 +52,8 @@ ANALOG_CAPACITANCE = 100 * units.fF
 def build_edgaze_mixed(cis_node: int) -> Design:
     """Build the Fig. 10 mixed-signal Ed-Gaze at one CIS node.
 
-    Returns a :class:`Design` (which still unpacks like the legacy
-    ``(stages, system, mapping)`` triple).
+    Returns a :class:`Design`; read its parts as ``.stages``,
+    ``.system`` and ``.mapping``.
     """
     stages = edgaze_stages()
 

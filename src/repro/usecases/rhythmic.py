@@ -39,8 +39,8 @@ NUM_PE_LANES = 16
 def build_rhythmic(config: UseCaseConfig) -> Design:
     """Build the Rhythmic scenario for one configuration.
 
-    Returns a :class:`Design` (which still unpacks like the legacy
-    ``(stages, system, mapping)`` triple).
+    Returns a :class:`Design`; read its parts as ``.stages``,
+    ``.system`` and ``.mapping``.
     """
     source = PixelInput((_ROWS, _COLS, 1), name="Input")
     ops_per_pixel = TOTAL_OPS / (_ROWS * _COLS)

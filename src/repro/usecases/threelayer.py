@@ -34,8 +34,8 @@ _ROWS, _COLS = 1080, 1920
 def build_three_layer(burst_fps: float = 960.0) -> Design:
     """A 1080p burst-capture stack: pixel / DRAM / logic layers.
 
-    Returns a :class:`Design` (which still unpacks like the legacy
-    ``(stages, system, mapping)`` triple).
+    Returns a :class:`Design`; read its parts as ``.stages``,
+    ``.system`` and ``.mapping``.
     """
     source = PixelInput((_ROWS, _COLS, 1), name="Input", bits_per_pixel=10)
     isp = ProcessStage("ISP", input_size=(_ROWS, _COLS, 1),

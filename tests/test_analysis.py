@@ -1,21 +1,23 @@
-"""Tests for the design-analysis tooling (bottlenecks, compare, sweeps)."""
+"""Tests for the design-analysis tooling (bottlenecks, compare) and the
+one-axis sweeps and Pareto fronts the exploration engine runs."""
 
 import pytest
 
-from repro import simulate, units
+from repro import simulate
 from repro.analysis import (
     compare_reports,
     dominant_category,
     identify_bottlenecks,
     savings_fraction,
-    sweep_frame_rate,
-    sweep_nodes,
 )
-from repro.energy.report import Category, EnergyEntry, EnergyReport
+from repro.api import SimOptions
+from repro.energy.report import Category, EnergyReport
 from repro.exceptions import ConfigurationError
+from repro.explore import choice, dominates, explore
 from repro.usecases import UseCaseConfig, run_edgaze
 from repro.usecases.fig5 import (
     FIG5_MAPPING,
+    build_fig5_design,
     build_fig5_stages,
     build_fig5_system,
 )
@@ -26,8 +28,12 @@ def _fig5_report():
                     dict(FIG5_MAPPING), frame_rate=30)
 
 
-def _fig5_builder():
-    return (build_fig5_stages(), build_fig5_system(), dict(FIG5_MAPPING))
+def _sweep(axis, values, builder, **kwargs):
+    """The points of a one-axis exploration run on the object path, so
+    every feasible point carries its full report."""
+    return explore(choice(axis, values), builder,
+                   objectives=("energy_per_frame",), annotate=False,
+                   engine="object", **kwargs).points
 
 
 class TestBottlenecks:
@@ -118,13 +124,14 @@ class TestCompare:
 
 class TestSweeps:
     def test_frame_rate_sweep_shapes(self):
-        points = sweep_frame_rate(_fig5_builder, [15, 30, 60, 120])
+        points = _sweep("options.frame_rate", [15, 30, 60, 120],
+                        build_fig5_design)
         assert len(points) == 4
         assert all(p.feasible for p in points)
 
     def test_sweep_marks_infeasible_points(self):
         """Absurd FPS targets fail with a TimingError, not an exception."""
-        points = sweep_frame_rate(_fig5_builder, [30, 1e7])
+        points = _sweep("options.frame_rate", [30, 1e7], build_fig5_design)
         assert points[0].feasible
         assert not points[1].feasible
         assert "re-design" in points[1].failure
@@ -132,113 +139,97 @@ class TestSweeps:
     def test_node_sweep(self):
         from repro.usecases.edgaze import build_edgaze
 
-        def builder_for_node(node):
-            return lambda: build_edgaze(UseCaseConfig("2D-In", int(node)))
-
-        points = sweep_nodes(builder_for_node, [130, 65])
+        points = _sweep(
+            "node", [130, 65],
+            lambda node: build_edgaze(UseCaseConfig("2D-In", int(node))),
+            options=SimOptions(frame_rate=30.0))
         assert all(p.feasible for p in points)
         # The 65 nm leakage anomaly shows up in the sweep too.
         assert points[1].report.total_energy > points[0].report.total_energy
 
     def test_generic_parameter_sweep(self):
-        """sweep_parameter drives any builder argument, here the node."""
-        from repro.analysis import sweep_parameter
+        """A builder axis drives any builder argument, here the node."""
         from repro.usecases.edgaze import build_edgaze
 
-        points = sweep_parameter(
-            lambda node: build_edgaze(UseCaseConfig("2D-In", int(node))),
-            [130, 65])
-        assert [p.parameter for p in points] == [130, 65]
+        points = _sweep(
+            "node", [130, 65],
+            lambda node: build_edgaze(UseCaseConfig("2D-In", int(node))))
+        assert [p.params["node"] for p in points] == [130, 65]
         assert all(p.feasible for p in points)
 
     def test_sweeps_accept_design_builders(self):
-        """Builders may return a Design instead of the legacy triple."""
-        from repro.usecases.fig5 import build_fig5_design
-
-        points = sweep_frame_rate(build_fig5_design, [30, 60])
-        assert all(p.feasible for p in points)
+        """A Design builder and the use case's registered name agree."""
+        by_callable = _sweep("options.frame_rate", [30, 60],
+                             build_fig5_design)
+        by_name = _sweep("options.frame_rate", [30, 60], "fig5")
+        assert all(p.feasible for p in by_callable)
+        assert [p.report.total_energy for p in by_name] \
+            == [p.report.total_energy for p in by_callable]
 
     def test_sweep_shares_a_simulator_cache(self):
-        """An explicit session dedups identical points across sweeps."""
+        """An explicit session dedups identical points across values."""
         from repro.api import Simulator
-        from repro.analysis import sweep_parameter
-        from repro.usecases.fig5 import build_fig5_design
 
         simulator = Simulator()
-        sweep_parameter(lambda _: build_fig5_design(), [1, 2],
-                        simulator=simulator)
+        _sweep("value", [1, 2], lambda value: build_fig5_design(),
+               simulator=simulator)
         assert simulator.cache_info().size == 1  # same design both times
 
     def test_builder_failure_marks_the_point_not_the_sweep(self):
         """A value the builder itself rejects stays an infeasible point."""
-        from repro.analysis import sweep_parameter
-        from repro.usecases.fig5 import build_fig5_design
-
         def builder(value):
             if value == 2:
                 raise ConfigurationError("value 2 is unbuildable")
             return build_fig5_design()
 
-        points = sweep_parameter(builder, [1, 2, 3])
-        assert [p.parameter for p in points] == [1, 2, 3]
+        points = _sweep("value", [1, 2, 3], builder)
+        assert [p.params["value"] for p in points] == [1, 2, 3]
         assert points[0].feasible and points[2].feasible
         assert not points[1].feasible
         assert "unbuildable" in points[1].failure
 
     def test_empty_sweeps_rejected(self):
-        from repro.analysis import sweep_parameter
         with pytest.raises(ConfigurationError):
-            sweep_frame_rate(_fig5_builder, [])
+            _sweep("options.frame_rate", [], build_fig5_design)
         with pytest.raises(ConfigurationError):
-            sweep_nodes(lambda n: _fig5_builder, [])
-        with pytest.raises(ConfigurationError):
-            sweep_parameter(lambda v: _fig5_builder(), [])
+            _sweep("node", [], build_fig5_design)
 
 
 class TestPareto:
+    GOALS = ("min", "min")
+
     @staticmethod
-    def _points():
-        from repro.analysis import design_point
-        from repro.usecases.edgaze import build_edgaze
-        points = []
-        for placement in ("2D-Off", "2D-In", "3D-In", "3D-In-STT"):
-            cfg = UseCaseConfig(placement, 65)
-            _, system, _ = build_edgaze(cfg)
-            points.append(design_point(placement, system, run_edgaze(cfg)))
-        return points
+    def _result(placements=("2D-Off", "2D-In", "3D-In", "3D-In-STT")):
+        return explore(choice("placement", list(placements)), "edgaze",
+                       objectives=("energy_per_frame", "power_density"),
+                       annotate=False)
 
     def test_edgaze_pareto_front(self):
         """2D-In at 65 nm is strictly dominated: more energy AND denser."""
-        from repro.analysis import dominated_points, pareto_front
-        points = self._points()
-        front_labels = {p.label for p in pareto_front(points)}
-        dominated_labels = {p.label for p in dominated_points(points)}
+        result = self._result()
+        front_labels = {p.params["placement"] for p in result.frontier()}
+        dominated_labels = {
+            p.params["placement"]
+            for p, rank in zip(result.points, result.dominance_ranks())
+            if rank}
         assert "2D-In" in dominated_labels
         assert "3D-In-STT" in front_labels
 
     def test_front_sorted_and_nondominated(self):
-        from repro.analysis import pareto_front
-        front = pareto_front(self._points())
-        energies = [p.energy_per_frame for p in front]
+        result = self._result()
+        front = [p.objective_vector(result.objectives)
+                 for p in result.frontier()]
+        energies = [energy for energy, _ in front]
         assert energies == sorted(energies)
         for p in front:
-            assert not any(q.dominates(p) for q in front)
+            assert not any(dominates(q, p, self.GOALS) for q in front)
 
     def test_dominance_semantics(self):
-        from repro.analysis.pareto import DesignPoint
-        a = DesignPoint("a", 1.0, 1.0)
-        b = DesignPoint("b", 2.0, 2.0)
-        tie = DesignPoint("t", 1.0, 1.0)
-        assert a.dominates(b)
-        assert not b.dominates(a)
-        assert not a.dominates(tie)
+        assert dominates((1.0, 1.0), (2.0, 2.0), self.GOALS)
+        assert not dominates((2.0, 2.0), (1.0, 1.0), self.GOALS)
+        assert not dominates((1.0, 1.0), (1.0, 1.0), self.GOALS)
 
     def test_empty_rejected(self):
-        from repro.analysis import pareto_front
+        """No candidates to rank: the empty space is refused up front."""
         with pytest.raises(ConfigurationError):
-            pareto_front([])
-
-    def test_describe(self):
-        from repro.analysis.pareto import DesignPoint
-        text = DesignPoint("x", 1e-6, 0.5).describe()
-        assert "mW/mm^2" in text
+            self._result(placements=())

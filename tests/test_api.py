@@ -57,14 +57,6 @@ class TestDesign:
         assert design.system.name == "Fig5"
         assert design.mapping.assignments == FIG5_MAPPING
 
-    def test_unpacks_like_the_legacy_triple(self):
-        stages, system, mapping = build_fig5_design()
-        assert stages[0].name == "Input"
-        assert system.find_unit("EdgeUnit") is not None
-        assert mapping == FIG5_MAPPING
-        assert len(build_fig5_design()) == 3
-        assert build_fig5_design()[1].name == "Fig5"
-
     def test_frozen(self):
         design = build_fig5_design()
         with pytest.raises(AttributeError):
@@ -247,7 +239,9 @@ class TestSimulatorRun:
                              dict(FIG5_MAPPING)))
 
     def test_matches_legacy_simulate_wrapper(self):
-        direct = simulate(*build_fig5_design(), frame_rate=45.0)
+        design = build_fig5_design()
+        direct = simulate(design.stages, design.system, design.mapping,
+                          frame_rate=45.0)
         session = Simulator(SimOptions(frame_rate=45.0)) \
             .run(build_fig5_design()).unwrap()
         assert session.total_energy == direct.total_energy
@@ -549,6 +543,24 @@ class TestSpecs:
     def test_garbage_spec_rejected(self):
         with pytest.raises(SerializationError):
             design_from_spec({"nonsense": True})
+
+    def test_builder_returning_no_design_rejected(self):
+        """A registered builder must return a Design: anything else is
+        a ConfigurationError naming the use case and the type."""
+        from repro.api.registry import _REGISTRY, register_usecase
+
+        parts = (build_fig5_stages(), build_fig5_system(),
+                 dict(FIG5_MAPPING))
+        try:
+            for built, type_name in ((None, "NoneType"),
+                                     (parts[:2], "tuple"), (parts, "tuple")):
+                register_usecase("test_no_design", lambda: built)
+                with pytest.raises(ConfigurationError,
+                                   match=f"'test_no_design' returned "
+                                         f"{type_name}"):
+                    build_usecase("test_no_design")
+        finally:
+            _REGISTRY.pop("test_no_design", None)
 
     def test_non_object_params_rejected(self):
         with pytest.raises(SerializationError):

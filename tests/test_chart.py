@@ -49,8 +49,9 @@ class TestChart:
         assert bar.rstrip().endswith("#")
 
     def test_edgaze_chart_shows_all_stages(self):
-        stages, system, mapping = build_edgaze(UseCaseConfig("2D-In", 65))
-        chart = pipeline_chart(stages, system, mapping, frame_rate=30)
+        design = build_edgaze(UseCaseConfig("2D-In", 65))
+        chart = pipeline_chart(design.stages, design.system, design.mapping,
+                               frame_rate=30)
         for name in ("Downsample", "FrameSubtract", "RoiDNN"):
             assert name in chart
 

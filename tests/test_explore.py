@@ -394,16 +394,24 @@ class TestEngine:
             explore(choice("options.warp_factor", [9]),
                     build_fig5_design, objectives=("energy_per_frame",))
 
-    def test_legacy_triple_builders_accepted(self):
-        from repro.usecases.fig5 import (FIG5_MAPPING, build_fig5_stages,
-                                         build_fig5_system)
+    def test_non_design_builder_results_are_infeasible(self):
+        """None, a pair or the parts as a tuple: each point is a typed
+        ConfigurationError naming the builder and the returned type."""
+        parts = (build_fig5_stages(), build_fig5_system(),
+                 dict(FIG5_MAPPING))
+        for built, type_name in ((None, "NoneType"), (parts[:2], "tuple"),
+                                 (parts, "tuple")):
+            def returns_no_design(**_):
+                return built
 
-        result = explore(
-            choice("options.frame_rate", [30.0]),
-            lambda **_: (build_fig5_stages(), build_fig5_system(),
-                         dict(FIG5_MAPPING)),
-            objectives=("energy_per_frame",), annotate=False)
-        assert result.points[0].feasible
+            result = explore(choice("x", [1, 2]), returns_no_design,
+                             objectives=("energy_per_frame",),
+                             annotate=False)
+            assert [p.feasible for p in result.points] == [False, False]
+            for point in result.points:
+                assert point.failure_type == "ConfigurationError"
+                assert "returns_no_design" in point.failure
+                assert f"returned {type_name}" in point.failure
 
     def test_usecase_name_as_builder(self):
         result = explore(grid(placement=["2D-In"], cis_node=[65]),
@@ -632,47 +640,50 @@ class TestCliExplore:
 
 
 class TestShims:
+    """The laws the retired one-axis sweep and two-objective Pareto
+    helpers promised, checked on the engine that carried them."""
+
     def test_sweep_parameter_non_numeric_values(self):
-        """Satellite: generic sweeps accept non-numeric parameters."""
-        from repro.analysis import sweep_parameter
+        """A builder axis accepts non-numeric values."""
         from repro.usecases import UseCaseConfig, build_edgaze
 
-        points = sweep_parameter(
+        result = explore(
+            choice("placement", ["2D-In", "3D-In", "3D-In-STT"]),
             lambda placement: build_edgaze(UseCaseConfig(placement, 65)),
-            ["2D-In", "3D-In", "3D-In-STT"])
-        assert [p.parameter for p in points] \
+            objectives=("energy_per_frame",), annotate=False,
+            engine="object")
+        assert [p.params["placement"] for p in result.points] \
             == ["2D-In", "3D-In", "3D-In-STT"]
-        assert all(p.feasible for p in points)
+        assert all(p.feasible for p in result.points)
 
     def test_design_point_tie_semantics(self):
-        from repro.analysis.pareto import DesignPoint
-
-        a = DesignPoint("a", 1.0, 1.0)
-        twin = DesignPoint("twin", 1.0, 1.0)
-        assert not a.dominates(twin) and not twin.dominates(a)
-        nan = DesignPoint("n", float("nan"), 1.0)
-        assert not nan.dominates(a) and not a.dominates(nan)
+        goals = ("min", "min")
+        assert not dominates((1.0, 1.0), (1.0, 1.0), goals)
+        nan = (float("nan"), 1.0)
+        assert not dominates(nan, (1.0, 1.0), goals)
+        assert not dominates((1.0, 1.0), nan, goals)
 
     def test_pareto_front_deterministic_with_duplicates(self):
-        from repro.analysis.pareto import (DesignPoint, dominated_points,
-                                           pareto_front)
-
-        points = [DesignPoint("b", 1.0, 2.0), DesignPoint("a", 1.0, 2.0),
-                  DesignPoint("c", 2.0, 1.0), DesignPoint("d", 3.0, 3.0)]
-        front = pareto_front(points)
-        assert [p.label for p in front] == ["a", "b", "c"]
-        assert [p.label for p in pareto_front(points[::-1])] \
-            == ["a", "b", "c"]
-        assert [p.label for p in dominated_points(points)] == ["d"]
+        goals = ("min", "min")
+        labels = ["b", "a", "c", "d"]
+        vectors = [(1.0, 2.0), (1.0, 2.0), (2.0, 1.0), (3.0, 3.0)]
+        ordered = [(1.0, 2.0), (1.0, 2.0), (2.0, 1.0)]
+        for order in (labels, labels[::-1]):
+            # Both duplicates stay on the front, in objective order,
+            # whatever the input order.
+            inputs = [vectors[labels.index(label)] for label in order]
+            front = pareto_indices(inputs, goals)
+            assert [inputs[i] for i in front] == ordered
+            assert {order[i] for i in front} == {"a", "b", "c"}
+        assert [labels[i] for i, rank
+                in enumerate(dominance_ranks(vectors, goals)) if rank] \
+            == ["d"]
 
     def test_nan_design_points_neither_front_nor_dominated(self):
-        from repro.analysis.pareto import (DesignPoint, dominated_points,
-                                           pareto_front)
-
-        points = [DesignPoint("a", 1.0, 2.0),
-                  DesignPoint("n", float("nan"), 1.0)]
-        assert [p.label for p in pareto_front(points)] == ["a"]
-        assert dominated_points(points) == []
+        goals = ("min", "min")
+        vectors = [(1.0, 2.0), (float("nan"), 1.0)]
+        assert pareto_indices(vectors, goals) == [0]
+        assert dominance_ranks(vectors, goals) == [0, None]
 
     def test_usecase_spaces_match_config_grids(self):
         from repro.usecases import (edgaze_configs, edgaze_space,
@@ -684,12 +695,13 @@ class TestShims:
             == [(p["placement"], p["cis_node"]) for p in rhythmic_space()]
 
     def test_bottleneck_shim_path(self):
-        from repro.analysis.bottleneck import (Bottleneck,
-                                               identify_bottlenecks)
-        from repro.explore.annotate import Bottleneck as Moved
+        """repro.analysis keeps the bottleneck names the engine uses."""
+        import repro.analysis as analysis
+        from repro.explore import annotate
 
-        assert Bottleneck is Moved
-        assert callable(identify_bottlenecks)
+        for name in ("Bottleneck", "identify_bottlenecks",
+                     "dominant_category"):
+            assert getattr(analysis, name) is getattr(annotate, name)
 
 
 # --- the document writer against json.dumps -------------------------------

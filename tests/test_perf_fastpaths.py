@@ -12,8 +12,8 @@ import pytest
 
 from repro import simulate
 from repro.api import Design, SimOptions, Simulator
-from repro.analysis.sweep import sweep_frame_rate
 from repro.exceptions import SimulationError, StallError
+from repro.explore import choice, explore
 from repro.sim import checks as checks_module
 from repro.sim.cycle_sim import DigitalTimeline, UnitActivity
 from repro.sim.mapping import Mapping
@@ -141,10 +141,16 @@ class TestMemoizedChecks:
 
     def test_sweep_frame_rate_checks_once(self, check_counter):
         simulator = Simulator(cache=False)
-        points = sweep_frame_rate(build_fig5_design, [15.0, 30.0, 60.0],
-                                  simulator=simulator)
+        points = _frame_rate_sweep([15.0, 30.0, 60.0], simulator).points
         assert all(point.feasible for point in points)
         assert check_counter.calls == 1
+
+
+def _frame_rate_sweep(frame_rates, simulator):
+    """The Fig. 5 design over ``frame_rates`` on the per-point path."""
+    return explore(choice("options.frame_rate", frame_rates),
+                   build_fig5_design, objectives=("energy_per_frame",),
+                   simulator=simulator, annotate=False, engine="object")
 
 
 class TestSweepOptionsInheritance:
@@ -158,8 +164,7 @@ class TestSweepOptionsInheritance:
             return original(items, options)
 
         simulator.run_many = spying_run_many
-        sweep_frame_rate(build_fig5_design, [15.0, 30.0],
-                         simulator=simulator)
+        _frame_rate_sweep([15.0, 30.0], simulator)
         assert [options.frame_rate for _, options in captured] == [15.0, 30.0]
         assert all(options.exposure_slots == 2 for _, options in captured)
 
@@ -193,7 +198,8 @@ class TestBatchWorkers:
         startup (loose on purpose: both sides take milliseconds)."""
         designs = [build_rhythmic(config) for config in rhythmic_configs()]
         started = time.perf_counter()
-        sequential = [simulate(*design, frame_rate=30.0)
+        sequential = [simulate(design.stages, design.system,
+                               design.mapping, frame_rate=30.0)
                       for design in designs]
         sequential_s = time.perf_counter() - started
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import units
-from repro.analysis.pareto import DesignPoint, dominated_points, pareto_front
+from repro.explore import dominance_ranks, dominates, pareto_indices
 from repro.hw.analog.components import (
     ActivePixelSensor,
     AnalogMAC,
@@ -67,33 +67,29 @@ class TestParetoProperties:
                   st.floats(min_value=1.0, max_value=1e4)),
         min_size=1, max_size=25)
 
+    #: Energy per frame and power density, both minimized.
+    goals = ("min", "min")
+
     @settings(max_examples=40)
     @given(raw=points_strategy)
     def test_front_plus_dominated_is_everything(self, raw):
-        points = [DesignPoint(f"p{i}", e, d)
-                  for i, (e, d) in enumerate(raw)]
-        front = pareto_front(points)
-        dominated = dominated_points(points)
-        assert len(front) + len(dominated) == len(points)
+        ranks = dominance_ranks(raw, self.goals)
+        front = pareto_indices(raw, self.goals)
+        dominated = [index for index, rank in enumerate(ranks) if rank]
+        assert len(front) + len(dominated) == len(raw)
 
     @settings(max_examples=40)
     @given(raw=points_strategy)
     def test_no_front_point_dominated_by_any_point(self, raw):
-        points = [DesignPoint(f"p{i}", e, d)
-                  for i, (e, d) in enumerate(raw)]
-        for front_point in pareto_front(points):
-            assert not any(other.dominates(front_point)
-                           for other in points)
+        for index in pareto_indices(raw, self.goals):
+            assert not any(dominates(other, raw[index], self.goals)
+                           for other in raw)
 
     @settings(max_examples=40)
     @given(raw=points_strategy)
     def test_global_minimum_energy_always_on_front(self, raw):
-        points = [DesignPoint(f"p{i}", e, d)
-                  for i, (e, d) in enumerate(raw)]
-        cheapest = min(points, key=lambda p: (p.energy_per_frame,
-                                              p.power_density))
-        front_ids = {id(p) for p in pareto_front(points)}
-        assert id(cheapest) in front_ids
+        cheapest = min(range(len(raw)), key=lambda index: raw[index])
+        assert cheapest in pareto_indices(raw, self.goals)
 
 
 class TestComponentProperties:

@@ -415,7 +415,8 @@ class TestCopyOnWritePerturbation:
         # A payload string that reads like a template hole cannot be
         # told apart from one; such a nominal compiles to no template
         # and its samples hash by encoding.
-        design = Design(*build_usecase("fig5"), name="\x000")
+        fig5 = build_usecase("fig5")
+        design = Design(fig5.stages, fig5.system, fig5.mapping, name="\x000")
         factors = {"memory.leakage_power": 1.1}
         assert variation_module._compile_template(design.to_dict()) is None
         assert perturb_design(design, factors).content_hash == \
@@ -773,6 +774,20 @@ class TestExploreRobust:
         with pytest.raises(ConfigurationError, match="robust.sample"):
             explore_robust(choice(SAMPLE_AXIS, [1]), "fig5",
                            variation=default_variation())
+
+    def test_builder_returning_no_design_is_infeasible(self):
+        from repro.explore.space import choice
+
+        def returns_none(**_):
+            return None
+
+        result = explore_robust(choice("x", [1]), returns_none,
+                                objectives=["energy_per_frame"],
+                                variation=default_variation(), samples=2)
+        point, = result.points
+        assert not point.feasible
+        assert "builder" in point.failure and "returns_none" in point.failure
+        assert "returned NoneType" in point.failure
 
     def test_bad_statistic_rejected(self):
         with pytest.raises(ConfigurationError, match="statistic"):

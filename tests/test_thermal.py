@@ -16,7 +16,7 @@ from repro.usecases.edgaze import build_edgaze
 
 def _point(placement, node=65):
     config = UseCaseConfig(placement, node)
-    _, system, _ = build_edgaze(config)
+    system = build_edgaze(config).system
     report = run_edgaze(config)
     return system, report
 

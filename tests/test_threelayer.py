@@ -20,17 +20,17 @@ def report():
 
 class TestStructure:
     def test_three_on_chip_layers(self):
-        _, system, _ = build_three_layer()
+        system = build_three_layer().system
         assert set(system.layers) == {"sensor", DRAM_LAYER, LOGIC_LAYER}
         assert system.is_stacked
 
     def test_layers_use_heterogeneous_nodes(self):
-        _, system, _ = build_three_layer()
+        system = build_three_layer().system
         nodes = {layer.node_nm for layer in system.layers.values()}
         assert len(nodes) == 3
 
     def test_dram_on_its_own_layer(self):
-        _, system, _ = build_three_layer()
+        system = build_three_layer().system
         assert system.find_unit("FrameDRAM").layer == DRAM_LAYER
 
 
@@ -73,13 +73,13 @@ class TestEnergy:
 
 class TestDensity:
     def test_footprint_is_pixel_array(self):
-        _, system, _ = build_three_layer()
+        system = build_three_layer().system
         areas = estimate_area(system)
         assert areas.footprint == pytest.approx(system.pixel_array_area)
 
     def test_sensor_layer_density_highest_at_burst_rate(self, report):
         """At 960 FPS the pixel/ADC readout dominates the power density."""
-        _, system, _ = build_three_layer()
+        system = build_three_layer().system
         densities = layer_power_density(system, report)
         assert densities["sensor"] > densities[LOGIC_LAYER]
         assert densities[DRAM_LAYER] > 0

@@ -17,38 +17,39 @@ from repro.usecases.rhythmic import (
 
 class TestRhythmicWorkload:
     def test_1280x720_pixel_array(self):
-        stages, system, _ = build_rhythmic(UseCaseConfig("2D-In", 65))
+        design = build_rhythmic(UseCaseConfig("2D-In", 65))
+        stages, system = design.stages, design.system
         assert stages[0].output_pixels == 1280 * 720
         assert system.pixel_array_dims == (720, 1280)
 
     def test_paper_op_count(self):
         """~7.4e6 arithmetic operations per frame (Sec. 6.1)."""
-        stages, _, _ = build_rhythmic(UseCaseConfig("2D-In", 65))
+        stages = build_rhythmic(UseCaseConfig("2D-In", 65)).stages
         encode = stages[1]
         assert encode.total_ops == pytest.approx(TOTAL_OPS, rel=1e-6)
         assert TOTAL_OPS == 7.4e6
 
     def test_roi_halves_output(self):
         """'reduces the image size by 50%' (Sec. 6.1)."""
-        stages, _, _ = build_rhythmic(UseCaseConfig("2D-In", 65))
+        stages = build_rhythmic(UseCaseConfig("2D-In", 65)).stages
         encode = stages[1]
         assert ROI_COMPRESSION == 0.5
         assert encode.output_bytes == pytest.approx(0.5 * 1280 * 720)
 
     def test_fig8a_structures(self):
         """Fig. 8a: ADC 1x1280, FIFO 1x2560, 16 digital PE lanes."""
-        _, system, _ = build_rhythmic(UseCaseConfig("2D-In", 65))
+        system = build_rhythmic(UseCaseConfig("2D-In", 65)).system
         assert system.find_unit("ADCArray").num_components == 1280
         assert system.find_unit("PixelFIFO").capacity_pixels == 2560
         assert NUM_PE_LANES == 16
 
     def test_off_chip_placement_moves_units(self):
-        _, system, _ = build_rhythmic(UseCaseConfig("2D-Off", 65))
+        system = build_rhythmic(UseCaseConfig("2D-Off", 65)).system
         assert system.find_unit("CompareSamplePE").layer == "off_chip"
         assert system.find_unit("PixelFIFO").layer == "off_chip"
 
     def test_3d_placement_uses_compute_layer(self):
-        _, system, _ = build_rhythmic(UseCaseConfig("3D-In", 130))
+        system = build_rhythmic(UseCaseConfig("3D-In", 130)).system
         assert system.find_unit("CompareSamplePE").layer == "compute"
         assert system.layers["compute"].node_nm == 22
         assert system.layers["sensor"].node_nm == 130
@@ -77,13 +78,13 @@ class TestEdGazeWorkload:
 
     def test_fig8b_frame_buffer_holds_downsampled_frame(self):
         """Fig. 8b: the frame buffer stores the 2x2-downsampled frame."""
-        _, system, _ = build_edgaze(UseCaseConfig("2D-In", 65))
+        system = build_edgaze(UseCaseConfig("2D-In", 65)).system
         frame_buffer = system.find_unit("FrameBuffer")
         assert frame_buffer.capacity_bytes == 200 * 320
 
     def test_fig8b_dnn_pe_grid(self):
         """Fig. 8b: Digital PE 3 is a 16x16 grid."""
-        _, system, _ = build_edgaze(UseCaseConfig("2D-In", 65))
+        system = build_edgaze(UseCaseConfig("2D-In", 65)).system
         assert system.find_unit("DNNArray").dimensions == (16, 16)
 
     def test_event_map_is_binary(self):
@@ -97,8 +98,8 @@ class TestEdGazeWorkload:
             ["Input", "Downsample", "FrameSubtract", "RoiDNN"]
 
     def test_stt_config_swaps_both_buffers(self):
-        sram_sys = build_edgaze(UseCaseConfig("3D-In", 65))[1]
-        stt_sys = build_edgaze(UseCaseConfig("3D-In-STT", 65))[1]
+        sram_sys = build_edgaze(UseCaseConfig("3D-In", 65)).system
+        stt_sys = build_edgaze(UseCaseConfig("3D-In-STT", 65)).system
         for buffer_name in ("FrameBuffer", "DNNBuffer"):
             sram_leak = sram_sys.find_unit(buffer_name).leakage_power
             stt_leak = stt_sys.find_unit(buffer_name).leakage_power

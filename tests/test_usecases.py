@@ -45,7 +45,7 @@ def densities():
         for node in (130, 65):
             for placement in ("2D-Off", "2D-In", "3D-In"):
                 config = UseCaseConfig(placement, node)
-                _, system, _ = build(config)
+                system = build(config).system
                 grid[(workload, node, placement)] = power_density(
                     system, run(config))
     return grid
@@ -128,10 +128,10 @@ class TestFig9aRhythmic:
         off = run_rhythmic(UseCaseConfig("2D-Off", 130)).total_energy
         savings = {}
         for compression in (0.25, 0.5, 0.75, 1.0):
-            stages, system, mapping = build_rhythmic(
-                UseCaseConfig("2D-In", 130))
-            stages[1].output_compression = compression
-            report = simulate(stages, system, mapping, frame_rate=30)
+            design = build_rhythmic(UseCaseConfig("2D-In", 130))
+            design.stages[1].output_compression = compression
+            report = simulate(design.stages, design.system, design.mapping,
+                              frame_rate=30)
             savings[compression] = 1 - report.total_energy / off
         ordered = [savings[c] for c in sorted(savings)]
         assert ordered == sorted(ordered, reverse=True)
@@ -184,7 +184,7 @@ class TestFig9bEdGaze:
             assert 0.35 < 1.0 - stt / sram < 0.85
 
     def test_frame_buffer_never_gated(self):
-        _, system, _ = build_edgaze(UseCaseConfig("2D-In", 65))
+        system = build_edgaze(UseCaseConfig("2D-In", 65)).system
         assert system.find_unit("FrameBuffer").duty_alpha == 1.0
 
     def test_65nm_anomaly_needs_the_ungated_buffer(self):
@@ -193,11 +193,10 @@ class TestFig9bEdGaze:
         the newer node wins again."""
 
         def total(node, duty_alpha):
-            stages, system, mapping = build_edgaze(
-                UseCaseConfig("2D-In", node))
-            system.find_unit("FrameBuffer").duty_alpha = duty_alpha
-            system.find_unit("DNNBuffer").duty_alpha = duty_alpha
-            return simulate(stages, system, mapping,
+            design = build_edgaze(UseCaseConfig("2D-In", node))
+            design.system.find_unit("FrameBuffer").duty_alpha = duty_alpha
+            design.system.find_unit("DNNBuffer").duty_alpha = duty_alpha
+            return simulate(design.stages, design.system, design.mapping,
                             frame_rate=30).total_energy
 
         assert total(65, 1.0) > total(130, 1.0)
