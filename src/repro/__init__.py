@@ -6,8 +6,7 @@ The public API mirrors the paper's three-part programming interface
 onto the other.  Those three parts bundle into a first-class
 :class:`Design` — a frozen, hashable value that serializes to JSON —
 which a :class:`Simulator` session turns into structured
-:class:`SimResult` outcomes, one design at a time or in parallel
-batches::
+:class:`SimResult` outcomes, one design at a time or in batches::
 
     >>> from repro import Design, SimOptions, Simulator
     >>> design = Design(camj_sw_config(), camj_hw_config(), camj_mapping())
@@ -16,8 +15,9 @@ batches::
 
 Designs round-trip through ``Design.to_dict()`` / ``Design.from_dict()``
 (and spec files runnable via ``python -m repro run spec.json``), and
-``Simulator.run_many`` fans a batch out across worker threads with
-content-hash result caching.  The classic functional entry point
+``Simulator.run_many`` runs a batch with content-hash result caching:
+on the calling thread while its jobs take less than the interpreter's
+switch interval, across worker threads once they take longer.  The classic functional entry point
 :func:`simulate` remains as a thin wrapper over the same engine.
 
 Every name below resolves on first access (see :mod:`repro._lazy`), so

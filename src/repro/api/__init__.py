@@ -9,7 +9,7 @@ This package turns the paper's three-part interface into values:
 * :class:`SimOptions` / :class:`SimResult` — frozen run options and the
   structured outcome (report or typed failure) of one simulation;
 * :class:`Simulator` — a session that runs designs, caches results by
-  content hash, and executes batches in parallel via ``run_many``;
+  content hash, and executes batches via ``run_many``;
 * the spec layer (:func:`load_scenario`, :func:`design_from_spec`) and
   the use-case registry (:func:`build_usecase`), which make every
   scenario storable, diffable, and replayable as plain JSON.

@@ -3,7 +3,7 @@
 A :class:`Simulator` carries a default :class:`~repro.api.result.SimOptions`
 and turns :class:`~repro.api.design.Design` values into structured
 :class:`~repro.api.result.SimResult` outcomes.  :meth:`Simulator.run_many`
-fans a batch out across a persistent worker pool and deduplicates
+hands a batch to the session's execution backend and deduplicates
 identical ``(design, options)`` jobs through a two-tier result cache:
 an in-memory tier always, plus an opt-in disk tier
 (``Simulator(cache_dir=...)`` or the ``REPRO_CACHE_DIR`` environment
@@ -141,9 +141,8 @@ class Simulator:
         Session-default options; ``None`` means ``SimOptions()``.
     max_workers:
         Worker-pool width for :meth:`run_many`.  Defaults to
-        ``min(len(batch), max(2, os.cpu_count()))`` so batches always
-        exercise multiple workers; the persistent pool grows to the
-        widest batch seen.
+        ``min(len(batch), max(2, os.cpu_count()))``; the persistent
+        pool grows to the widest batch seen.
     cache:
         Enable per-design result caching keyed by
         ``(design.content_hash, options)``.  Designs containing custom,
@@ -151,7 +150,12 @@ class Simulator:
     executor:
         The batch execution backend: a registered name or a
         :class:`~repro.exec.SimulationExecutor` instance.  ``"thread"``
-        (the default) fans batches across a thread pool; ``"process"``
+        (the default) runs jobs on the calling thread while their mean
+        wall time stays within ``sys.getswitchinterval()`` — CamJ runs
+        hold the GIL, and a job that short ends before another thread
+        could take the GIL, so a pool cannot overlap it — and sends the
+        rest of the batch to a thread pool once the mean goes over, or
+        every job when the session has a per-task deadline; ``"process"``
         ships each design's serialized payload to a
         :class:`~concurrent.futures.ProcessPoolExecutor` worker, which
         sidesteps the GIL for CPU-bound batches on multi-core machines;
@@ -701,14 +705,15 @@ class Simulator:
 
     def run_many(self, items: Iterable[BatchItem],
                  options: Optional[SimOptions] = None) -> List[SimResult]:
-        """Simulate a batch in parallel; results come back in input order.
+        """Simulate a batch; results come back in input order.
 
         ``items`` mixes bare designs and ``(design, options)`` pairs;
         bare designs use ``options`` (or the session default).  Identical
         ``(design, options)`` jobs — by content hash — are executed once
-        and fanned back out to every requesting slot.  The worker pool
-        is created on the first batch that misses the cache and reused
-        by every later batch.
+        and fanned back out to every requesting slot.  The backend runs
+        the cache misses (see the class's ``executor`` parameter); its
+        worker pool is created on the first batch that needs one and
+        reused by every later batch.
         """
         jobs = [self._normalize_item(item, options) for item in items]
         if not jobs:

@@ -4,10 +4,22 @@ These wrap what :meth:`repro.api.Simulator.run_many` used to hard-code:
 the thread-pool fan-out with per-task deadlines, and the windowed,
 self-healing process-pool runner with crash quarantine.  ``inline`` is
 the degenerate backend — sequential execution in the calling thread
-with the same retry semantics — useful for debugging, deterministic
-profiling, and as the coordinator's degraded mode when no distributed
-worker ever connects.  The thread and process backends each own one
-persistent pool (:class:`PooledExecutor`).
+with the same retry semantics — useful for debugging and deterministic
+profiling.  The thread and process backends each own one persistent
+pool (:class:`PooledExecutor`).
+
+The ``thread`` backend (the default, and the distributed executor's
+local fallback) hands the pool only work that threads can overlap.
+Without a per-task deadline and under a GIL, it runs pending jobs one
+by one on the calling thread while the running mean wall time of the
+jobs run so far stays at or below :func:`sys.getswitchinterval`: a job
+that short is over before the interpreter would even offer the GIL to
+another thread, so pool threads could only take turns on it and add the
+hand-off.  The first time the mean goes over (jobs that block, sleep in
+retry backoff or are truly long), the remaining jobs go to the pool.  A
+mean, not a single slow job, decides, so one host stall does not fan a
+batch of fast jobs out.  With a deadline set every job runs in the pool,
+because code running on the calling thread cannot be timed out.
 
 All three produce bit-identical results for the same batch; only the
 parallelism (and therefore the wall clock and ``workers_used``) differs.
@@ -16,6 +28,7 @@ parallelism (and therefore the wall clock and ``workers_used``) differs.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import time
 from abc import abstractmethod
@@ -48,12 +61,7 @@ class InlineExecutor(SimulationExecutor):
 
     def run_pending(self, session, pending, max_workers, worker_ids,
                     counters) -> Dict[Any, SimResult]:
-        outcomes: Dict[Any, SimResult] = {}
-        for key, (design, resolved) in pending.items():
-            worker_ids.add(threading.get_ident())
-            outcomes[key] = session._run_attempts(design, resolved, key,
-                                                  counters=counters)
-        return outcomes
+        return _run_in_caller(session, pending, worker_ids, counters)
 
 
 class PooledExecutor(SimulationExecutor):
@@ -82,10 +90,7 @@ class PooledExecutor(SimulationExecutor):
 
     def _acquire(self, session, width: int) -> Executor:
         """The pool, grown to ``width`` if narrower (``_lock`` held)."""
-        if session.closed:
-            raise ConfigurationError(
-                "session was terminally closed; create a new Simulator "
-                "to run further batches")
+        _refuse_closed(session)
         if self._pool is not None and self._width >= width:
             return self._pool
         if self._pool is not None:
@@ -115,7 +120,10 @@ class PooledExecutor(SimulationExecutor):
 
 
 class ThreadExecutor(PooledExecutor):
-    """Fan the batch across the executor's persistent thread pool."""
+    """Run fast GIL-bound jobs in the caller, the rest in a thread pool.
+
+    The rule, and why it holds, are in the module notes.
+    """
 
     name = "thread"
     pool_kind = "thread"
@@ -127,6 +135,18 @@ class ThreadExecutor(PooledExecutor):
     def run_pending(self, session, pending, max_workers, worker_ids,
                     counters) -> Dict[Any, SimResult]:
         timeout_s = session._retry.timeout_s
+        outcomes: Dict[Any, SimResult] = {}
+        if timeout_s is None and getattr(sys, "_is_gil_enabled",
+                                         lambda: True)():
+            # GIL-bound jobs shorter than a switch interval cannot
+            # overlap in a pool: run them here (see the module notes).
+            _refuse_closed(session)
+            outcomes = _run_in_caller(session, pending, worker_ids,
+                                      counters, sys.getswitchinterval())
+            if len(outcomes) == len(pending):
+                return outcomes
+            pending = {key: job for key, job in pending.items()
+                       if key not in outcomes}
         #: key -> when its job started running (its deadline's origin).
         started: Dict[Any, float] = {}
 
@@ -142,7 +162,9 @@ class ThreadExecutor(PooledExecutor):
             futures = {key: pool.submit(job, key, design, resolved)
                        for key, (design, resolved) in pending.items()}
         if timeout_s is None:
-            return {key: future.result() for key, future in futures.items()}
+            outcomes.update((key, future.result())
+                            for key, future in futures.items())
+            return outcomes
 
         # A running thread cannot be interrupted, so in thread mode the
         # deadline covers the whole task from when its job starts, and
@@ -150,7 +172,6 @@ class ThreadExecutor(PooledExecutor):
         # timeout while its thread finishes in the background (the
         # job's _run_resolved still caches the late result).  A job not
         # yet started cannot expire within the next ``timeout_s``.
-        outcomes: Dict[Any, SimResult] = {}
         for key, future in futures.items():
             while key not in outcomes:
                 begun = started.get(key)
@@ -368,6 +389,35 @@ class ProcessExecutor(PooledExecutor):
                 outcomes[key] = result
         counters.add("pool_rebuilds")
         self._retire(pool)
+
+
+def _refuse_closed(session) -> None:
+    """Refuse pending work of a terminally closed session."""
+    if session.closed:
+        raise ConfigurationError(
+            "session was terminally closed; create a new Simulator "
+            "to run further batches")
+
+
+def _run_in_caller(session, pending, worker_ids, counters,
+                   mean_budget_s: Optional[float] = None
+                   ) -> Dict[Any, SimResult]:
+    """Run pending jobs one by one on the calling thread.
+
+    With ``mean_budget_s`` the loop stops after the job that lifts the
+    running mean wall time per job above it; the outcomes so far are
+    returned and the caller runs the rest.
+    """
+    outcomes: Dict[Any, SimResult] = {}
+    started = time.perf_counter()
+    for key, (design, resolved) in pending.items():
+        worker_ids.add(threading.get_ident())
+        outcomes[key] = session._run_attempts(design, resolved, key,
+                                              counters=counters)
+        if mean_budget_s is not None and time.perf_counter() - started \
+                > mean_budget_s * len(outcomes):
+            break
+    return outcomes
 
 
 def _promote_due(delayed: List[Tuple], ready: deque) -> None:

@@ -665,6 +665,23 @@ def _rows(columns: List[Tuple[str, List[Any]]], start: int, stop: int
     return zip(*[column[start:stop] for _, column in columns])
 
 
+def resolve_builder(builder: Builder, name: Optional[str]
+                    ) -> Tuple[Callable[..., Any], str]:
+    """The build callable and result name of an exploration.
+
+    A use-case name builds through :func:`build_usecase` and names the
+    result after itself; a callable builds directly and names the result
+    after its ``__name__`` (``"exploration"`` for a lambda or a nameless
+    callable).  An explicit ``name`` always wins.
+    """
+    if isinstance(builder, str):
+        return (lambda **params: build_usecase(builder, **params),
+                name if name is not None else builder)
+    default = getattr(builder, "__name__", "exploration")
+    return builder, name if name is not None else (
+        "exploration" if default == "<lambda>" else default)
+
+
 def explore(space: ParameterSpace,
             builder: Builder,
             objectives: Sequence[Union[str, Metric]] = DEFAULT_OBJECTIVES,
@@ -767,16 +784,7 @@ def explore_stream(space: ParameterSpace,
     owns_session = simulator is None
     simulator = simulator if simulator is not None else Simulator(options)
     base_options = options if options is not None else simulator.options
-    if isinstance(builder, str):
-        usecase = builder
-        build = lambda **params: build_usecase(usecase, **params)  # noqa: E731
-        result_name = name if name is not None else usecase
-    else:
-        build = builder
-        result_name = name if name is not None else \
-            getattr(builder, "__name__", "exploration")
-        if result_name == "<lambda>":
-            result_name = "exploration"
+    build, result_name = resolve_builder(builder, name)
 
     option_fields = set(SimOptions().to_dict())
     bad_axes = [axis for axis in space.names

@@ -66,6 +66,12 @@ def _build_survey() -> tuple:
 FOM_SURVEY: Sequence[FomPoint] = _build_survey()
 
 
+#: ``math.log10`` of each survey rate and each survey FoM, in survey order.
+_SURVEY_LOG_RATES = tuple(math.log10(point.sample_rate)
+                          for point in FOM_SURVEY)
+_SURVEY_FOMS = tuple(point.fom for point in FOM_SURVEY)
+
+
 def _median(values) -> float:
     ordered = sorted(values)
     count = len(ordered)
@@ -86,9 +92,8 @@ def walden_fom(sample_rate: float, window_decades: float = 0.5) -> float:
         raise ConfigurationError(
             f"sample_rate must be positive, got {sample_rate}")
     log_rate = math.log10(sample_rate)
-    nearby = [point.fom for point in FOM_SURVEY
-              if abs(math.log10(point.sample_rate) - log_rate)
-              <= window_decades]
+    nearby = [fom for survey_log, fom in zip(_SURVEY_LOG_RATES, _SURVEY_FOMS)
+              if abs(survey_log - log_rate) <= window_decades]
     if not nearby:
         return _envelope(sample_rate)
     return _median(nearby)
@@ -103,11 +108,6 @@ def adc_energy_per_conversion(sample_rate: float, bits: int) -> float:
         raise ConfigurationError(f"ADC resolution must be >= 1 bit, got {bits}")
     lookup = _walden_fom_batch if _is_column(sample_rate) else walden_fom
     return lookup(sample_rate) * (2 ** bits)
-
-
-_SURVEY_LOG_RATES = tuple(math.log10(point.sample_rate)
-                          for point in FOM_SURVEY)
-_SURVEY_FOMS = tuple(point.fom for point in FOM_SURVEY)
 
 
 def _walden_fom_batch(sample_rates, window_decades: float = 0.5):

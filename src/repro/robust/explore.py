@@ -30,13 +30,13 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
 
 from repro.api.design import Design, require_design
-from repro.api.registry import build_usecase
 from repro.api.result import SimOptions
 from repro.api.simulator import Simulator
 from repro.columns import total
 from repro.exceptions import ConfigurationError
 from repro.explore.engine import (DEFAULT_OBJECTIVES, ExplorationPoint,
-                                  ExplorationResult, explore_stream)
+                                  ExplorationResult, explore_stream,
+                                  resolve_builder)
 from repro.explore.metrics import Metric, register_metric, resolve_metrics
 from repro.explore.space import ParameterSpace, choice, product
 from repro.robust.variation import NOMINAL_SAMPLE, VariationModel, \
@@ -171,16 +171,7 @@ def explore_robust(space: ParameterSpace,
     resolved = resolve_metrics(objectives)
     plan = resolve_statistics(statistic, resolved)
 
-    if isinstance(builder, str):
-        usecase = builder
-        build = lambda **params: build_usecase(usecase, **params)  # noqa: E731
-        default_name = usecase
-    else:
-        build = builder
-        default_name = getattr(builder, "__name__", "exploration")
-        if default_name == "<lambda>":
-            default_name = "exploration"
-    result_name = name if name is not None else default_name
+    build, result_name = resolve_builder(builder, name)
 
     nominal_cache: Dict[Any, Design] = {}
 

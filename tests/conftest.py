@@ -55,6 +55,31 @@ def _no_ambient_chaos(monkeypatch):
     reset_injector()
 
 
+@pytest.fixture
+def slow_jobs(monkeypatch):
+    """Make every simulation sleep for twice the switch interval.
+
+    The thread backend runs jobs whose mean wall time stays within
+    ``sys.getswitchinterval()`` on the calling thread, so the repo's
+    sub-millisecond designs never reach its pool.  This GIL-releasing
+    delay makes jobs measure slow: after the first one the rest of a
+    batch goes to the pool, so pool lifecycle can be observed.
+    """
+    import sys
+    import time
+
+    import repro.api.simulator as simulator_module
+
+    real_engine = simulator_module._simulate_graph
+    delay_s = 2 * sys.getswitchinterval()
+
+    def slow_engine(*args, **kwargs):
+        time.sleep(delay_s)
+        return real_engine(*args, **kwargs)
+
+    monkeypatch.setattr(simulator_module, "_simulate_graph", slow_engine)
+
+
 def streaming_design(size: int, fractional_mid: bool = True) -> Design:
     """Input -> Denoise -> Sharpen streamed over a ``size x size`` frame.
 

@@ -1,5 +1,7 @@
 """Tests for the Walden FoM survey used by non-linear A-Cells."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,28 @@ class TestWaldenLookup:
     def test_out_of_range_falls_back_to_envelope(self):
         very_slow = walden_fom(1.0)  # 1 S/s, far below the survey
         assert very_slow > 0
+
+    def test_matches_the_brute_force_formula(self):
+        """Every survey rate and half a decade either side of it (the
+        window's edges) gives the median of the survey FoMs whose
+        ``math.log10`` rate lies within the window, bit for bit."""
+        from repro.hw.analog.adc_fom import _envelope
+
+        def brute_force(rate, window=0.5):
+            nearby = sorted(point.fom for point in FOM_SURVEY
+                            if abs(math.log10(point.sample_rate)
+                                   - math.log10(rate)) <= window)
+            if not nearby:
+                return _envelope(rate)
+            middle = len(nearby) // 2
+            if len(nearby) % 2:
+                return nearby[middle]
+            return 0.5 * (nearby[middle - 1] + nearby[middle])
+
+        rates = [point.sample_rate * 10.0 ** shift
+                 for point in FOM_SURVEY for shift in (-0.5, 0.0, 0.5)]
+        assert [walden_fom(rate) for rate in rates] \
+            == [brute_force(rate) for rate in rates]
 
     def test_rejects_non_positive_rate(self):
         with pytest.raises(ConfigurationError):

@@ -397,7 +397,7 @@ class TestSessionPools:
                 for node in (130, 65)
                 for placement in ("2D-In", "2D-Off", "3D-In")]
 
-    def test_thread_pool_reused_across_batches(self):
+    def test_thread_pool_reused_across_batches(self, slow_jobs):
         simulator = Simulator(cache=False)
         simulator.run_many(self._grid())
         first = simulator._executor._pool
@@ -406,7 +406,8 @@ class TestSessionPools:
         assert simulator._executor._pool is first
         simulator.close()
 
-    def test_pool_grows_for_wider_batches_and_never_shrinks(self):
+    def test_pool_grows_for_wider_batches_and_never_shrinks(self,
+                                                             slow_jobs):
         simulator = Simulator(cache=False)
         simulator.run_many(self._grid()[:2])
         narrow = simulator._executor._width
@@ -420,7 +421,7 @@ class TestSessionPools:
         assert simulator.last_batch_stats.max_workers == grown
         simulator.close()
 
-    def test_close_is_idempotent_and_session_recovers(self):
+    def test_close_is_idempotent_and_session_recovers(self, slow_jobs):
         simulator = Simulator(cache=False)
         simulator.run_many(self._grid()[:3])
         simulator.close()
@@ -432,7 +433,7 @@ class TestSessionPools:
         assert simulator._executor._pool is not None
         simulator.close()
 
-    def test_context_manager_closes_the_pools(self):
+    def test_context_manager_closes_the_pools(self, slow_jobs):
         with Simulator(cache=False) as simulator:
             assert all(r.ok for r in simulator.run_many(self._grid()[:3]))
             assert simulator._executor._pool is not None
@@ -583,7 +584,8 @@ class TestSessionConcurrency:
                 for node in (130, 65)
                 for placement in ("2D-In", "2D-Off", "3D-In")]
 
-    def test_concurrent_batches_share_one_pool(self, monkeypatch):
+    def test_concurrent_batches_share_one_pool(self, monkeypatch,
+                                               slow_jobs):
         """Overlapping run_many calls must not race pool creation."""
         import threading
 
@@ -673,7 +675,7 @@ class TestSessionConcurrency:
                    for result in simulator.run_many(self._grid()[:2]))
         simulator.close()
 
-    def test_pool_info_tracks_lifecycle(self):
+    def test_pool_info_tracks_lifecycle(self, slow_jobs):
         simulator = Simulator(cache=False, max_workers=3)
         info = simulator.pool_info()
         assert info == {"executor": "thread", "max_workers": 3,

@@ -324,12 +324,14 @@ class TestDistributedExecutor:
         assert time.monotonic() - started < 20.0
         assert queue.describe()["completed_total"] == 0  # ran locally
 
-    def test_session_close_releases_the_fallback_pool(self):
+    def test_session_close_releases_the_fallback_pool(self, slow_jobs):
         executor = DistributedExecutor(WorkQueue(lease_ttl_s=30.0),
                                        fallback_after_s=0.0)
         session = Simulator(executor=executor, cache=False)
-        assert all(result.ok
-                   for result in session.run_many(_sweep_items([37.0])))
+        # Two slow jobs: the first runs on the calling thread, the second
+        # in the fallback's pool.
+        assert all(result.ok for result in
+                   session.run_many(_sweep_items([37.0, 39.0])))
         fallback = executor._local._pool
         assert fallback is not None
         assert session.pool_info()["thread_pool_width"] >= 1

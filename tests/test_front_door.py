@@ -133,3 +133,38 @@ def test_home_modules_resolve_as_attributes(package, submodules):
         f"print(json.dumps([getattr(package, name) is sys.modules["
         f"{package!r} + '.' + name] for name in {submodules!r}]))")
     assert resolved == [True] * len(submodules)
+
+
+def test_one_usecase_loads_no_other():
+    """``repro.usecases`` is a lazy façade too: ``repro fig5`` pays for
+    the Fig. 5 builder only."""
+    others = ("rhythmic", "edgaze", "edgaze_mixed", "threelayer")
+    loaded = _fresh(
+        "import json, sys, repro.usecases.fig5\n"
+        f"print(json.dumps([m for m in {others!r} "
+        "if 'repro.usecases.' + m in sys.modules]))")
+    assert loaded == []
+
+
+def test_usecase_names_are_their_home_module_objects():
+    """The same names as the eager package had, each its home module's
+    object (the two constants live in ``repro.usecases.common``)."""
+    report = _fresh("""
+import importlib, json
+import repro.usecases as package
+bad = []
+for name in package.__all__:
+    value = getattr(package, name)
+    own = getattr(value, "__qualname__", None) == name
+    home = value.__module__ if own else "repro.usecases.common"
+    if getattr(importlib.import_module(home), name) is not value:
+        bad.append(name)
+print(json.dumps({"names": package.__all__, "bad": bad}))
+""")
+    assert report["bad"] == []
+    assert report["names"] == [
+        "UseCaseConfig", "CIS_NODES", "HOST_NODE", "build_rhythmic",
+        "run_rhythmic", "rhythmic_configs", "rhythmic_space",
+        "build_edgaze", "run_edgaze", "edgaze_configs", "edgaze_space",
+        "build_edgaze_mixed", "run_edgaze_mixed", "build_fig5_design",
+        "run_fig5", "build_three_layer", "run_three_layer"]
