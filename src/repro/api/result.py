@@ -213,7 +213,8 @@ class ResultBlock:
     @cached_property
     def rows(self) -> Dict[SimOptions, int]:
         """Options -> row (the inverse of ``options``), built on the
-        first probe."""
+        first per-key probe; a group probe that equals ``options``
+        serves the block whole and never builds it."""
         return {options: row for row, options in enumerate(self.options)}
 
     def __len__(self) -> int:

@@ -31,7 +31,8 @@ import time
 import warnings
 from collections import OrderedDict, deque
 from dataclasses import dataclass, replace
-from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple, Union
+from typing import (Any, Deque, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 import repro.exec  # noqa: F401  (registers the built-in executor backends)
 from repro.api.design import Design
@@ -573,73 +574,74 @@ class Simulator:
         if disk and self._disk_cache is not None:
             self._disk_cache.put(key[0], key[1], result)
 
-    def design_probe_needed(self, design_hash: str, count: int) -> bool:
-        """Whether probing ``count`` keys of one design could hit at all.
-
-        ``False`` means the whole group cold-misses: no single result
-        or column block carries this design hash and there is no disk
-        tier.  The miss counters are bulk-updated here, so the caller
-        may skip per-key probing with identical observable behavior.
-        (``False`` with no counter change when caching is disabled,
-        mirroring :meth:`probe_results`.)
-        """
-        if not self._cache_enabled:
-            return False
-        if self._disk_cache is not None \
-                or design_hash in self._cache_hashes \
-                or design_hash in self._blocks_by_hash:
-            return True
-        self._count_misses(count)
-        return False
-
-    def probe_results(self, keys) -> List[Any]:
-        """Probe the result cache for a whole group of job keys.
+    def probe_results(self, group: List[SimOptions],
+                      design_hash: Optional[str]
+                      ) -> Tuple[List[Tuple[ResultBlock, List[int],
+                                            Optional[List[int]]]],
+                                 Dict[int, SimResult], Sequence[int]]:
+        """Probe the result cache for one design's group of options.
 
         Gives every point the cache behavior a cold :meth:`run` would
-        have, with the hit/miss counters ticking once for the group:
-        absent and ``None`` keys (unserializable designs) come back
-        ``None``; single results come back ``cached=True`` (disk hits
-        promoted); a row of a column block comes back as its
-        ``(block, row)`` pair, unmaterialized, so a caller that reads
-        columns builds no :class:`SimResult` for it.  With caching off,
-        all ``None`` and no counter change.
+        have, with the hit/miss counters ticking once for the group.
+        Returns the block hits as ``(block, group positions, block
+        rows)`` entries (rows ``None``: every row, in order),
+        unmaterialized, so a caller that reads columns builds no
+        :class:`SimResult` for them; the single-result hits by
+        group position, ``cached=True`` (disk hits promoted); and the
+        positions that missed.  A group equal to the options of the
+        design's newest block, with no single result for the design, is
+        that block whole: one entry with rows ``None``.  Any other
+        position takes :meth:`run`'s per-key order: a single result,
+        then the newest block holding it, then the disk tier.  A block
+        row reaches the disk tier on its first serve either way.  With
+        caching off or an unserializable design (``design_hash``
+        ``None``), every position misses and no counter changes.
         """
-        out: List[Any] = [None] * len(keys)
-        if not self._cache_enabled:
-            return out
-        cache = self._cache
-        cache_hashes = self._cache_hashes
-        by_hash = self._blocks_by_hash
+        if not self._cache_enabled or design_hash is None:
+            return [], {}, range(len(group))
+        blocks = self._blocks_by_hash.get(design_hash, ())
+        has_singles = design_hash in self._cache_hashes
         disk = self._disk_cache
-        unkeyed = misses = 0
-        for position, key in enumerate(keys):
-            if key is None:
-                unkeyed += 1
-                continue
-            design_hash = key[0]
-            hit = cache.get(key) if design_hash in cache_hashes else None
-            if hit is not None:
-                out[position] = replace(hit, cached=True)
-                continue
-            found = self._block_row(key) if design_hash in by_hash else None
-            if found is not None:
-                if disk is not None:
-                    self._persist_row(*found)
-                out[position] = found
-                continue
+        if not (blocks or has_singles or disk is not None):
+            self._count_misses(len(group))
+            return [], {}, range(len(group))
+        served: Dict[int, Tuple[ResultBlock, List[int], Any]] = {}
+        singles: Dict[int, SimResult] = {}
+        pending: List[int] = []
+        if blocks and not has_singles and blocks[-1].options == group:
+            block = blocks[-1]
             if disk is not None:
-                hit = disk.get(design_hash, key[1])
-                if hit is not None:
-                    self._store(key, hit, disk=False)
-                    out[position] = replace(hit, cached=True)
+                for row in range(len(block)):
+                    self._persist_row(block, row)
+            served[id(block)] = (block, list(range(len(group))), None)
+        else:
+            for position, options in enumerate(group):
+                key = (design_hash, options)
+                hit = self._cache.get(key) if has_singles else None
+                found = self._block_row(key) if hit is None and blocks \
+                    else None
+                if found is not None:
+                    block, row = found
+                    self._persist_row(block, row)
+                    _, positions, rows = served.setdefault(
+                        id(block), (block, [], []))
+                    positions.append(position)
+                    rows.append(row)
                     continue
-            misses += 1
-        hits = len(keys) - unkeyed - misses
-        if hits or misses:
-            with self._lock:
-                self._cache_hits += hits
-                self._cache_misses += misses
-        return out
+                if hit is None and disk is not None:
+                    hit = disk.get(design_hash, options)
+                    if hit is not None:
+                        self._store(key, hit, disk=False)
+                if hit is None:
+                    pending.append(position)
+                else:
+                    singles[position] = replace(hit, cached=True)
+        with self._lock:
+            self._cache_hits += len(group) - len(pending)
+            self._cache_misses += len(pending)
+        return [(block, positions, None if rows == list(range(len(block)))
+                 else rows) for block, positions, rows in served.values()
+                ], singles, pending
 
     def offer_result(self, key: Optional[Tuple[str, SimOptions]],
                      result: SimResult) -> None:

@@ -34,7 +34,7 @@ import time
 from abc import abstractmethod
 from collections import deque
 from concurrent.futures import (BrokenExecutor, Executor,
-                                ProcessPoolExecutor, ThreadPoolExecutor)
+                                ThreadPoolExecutor)
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures import FIRST_COMPLETED
 from concurrent.futures import wait as futures_wait
@@ -217,6 +217,9 @@ class ProcessExecutor(PooledExecutor):
     requires_serializable = True
 
     def _new_pool(self, width: int) -> Executor:
+        # Imported here: the process machinery (multiprocessing and its
+        # connection module) costs a session that never pools processes.
+        from concurrent.futures import ProcessPoolExecutor
         return ProcessPoolExecutor(max_workers=width,
                                    initializer=_init_worker)
 

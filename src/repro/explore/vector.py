@@ -10,8 +10,10 @@ engine as columns of operating points, in four steps:
 1. screen the design, once per content hash: only the stock analog
    array, component and cell types, and the stock memory leakage, are
    known to accept a column of delays;
-2. probe the session result cache, as :meth:`Simulator.run` would for
-   each point, and serve the hits;
+2. probe the session result cache for the whole group, with the hits
+   :meth:`Simulator.run` would give each point, and serve them: a
+   group equal to its design's newest block is that block whole, and
+   other block hits come back grouped by block;
 3. simulate the rest with one engine call (:meth:`Simulator.run_block`),
    which caches the rows that simulated as one column block
    (:class:`~repro.api.result.ResultBlock`) and each failed point as a
@@ -20,8 +22,8 @@ engine as columns of operating points, in four steps:
    its column off the block's report and the top bottleneck is ranked
    column-wise, so the feasible rows reach the exploration result as
    one :class:`~repro.explore.block.PointBlock`, with no
-   :class:`SimResult` or :class:`ExplorationPoint` per row.  A later
-   group whose keys are block rows is read off the block the same way.
+   :class:`SimResult` or :class:`ExplorationPoint` per row.  The block
+   hits of step 2 are read off their blocks the same way.
 
 One engine evaluates one point or a column, so vector points equal
 object-path points bit for bit — same metrics, same infeasibility
@@ -185,35 +187,20 @@ def _serve_cached(simulator: Simulator, design: Design,
 
     The object path's order: :meth:`Simulator.run` probes the cache
     before it executes anything, so cached points never touch checks or
-    passes.  A design with nothing cached anywhere answers in one call,
-    with no per-key probing at all.
+    passes.  The probe hands back the block hits already grouped by
+    block, so each block is read column-wise in one piece.
     """
-    if design_hash is None \
-            or not simulator.design_probe_needed(design_hash, len(group)):
-        return indices, group
-    probed = simulator.probe_results([(design_hash, options)
-                                      for options in group])
-    pending: List[int] = []
-    # Rows of cached column blocks are read column-wise, per block:
-    # block -> (group positions, their rows).
-    served: Dict[int, Tuple[ResultBlock, List[int], List[int]]] = {}
-    for i, hit in enumerate(probed):
-        if hit is None:
-            pending.append(i)
-        elif type(hit) is tuple:
-            block, row = hit
-            _, positions, rows = served.setdefault(id(block),
-                                                   (block, [], []))
-            positions.append(i)
-            rows.append(row)
-        else:
-            pieces.append(([indices[i]], _evaluate_point(
-                params([indices[i]])[0], design, hit, objectives,
-                annotate)))
-    for block, positions, rows in served.values():
+    served, singles, pending = simulator.probe_results(group, design_hash)
+    for position, result in singles.items():
+        pieces.append(([indices[position]], _evaluate_point(
+            params([indices[position]])[0], design, result, objectives,
+            annotate)))
+    for block, positions, rows in served:
         pieces.extend(_read_block(
             block, design, [indices[i] for i in positions], rows,
             params, objectives, annotate))
+    if len(pending) == len(group):
+        return indices, group
     return [indices[i] for i in pending], [group[i] for i in pending]
 
 
@@ -233,8 +220,6 @@ def _read_block(block: ResultBlock, design: Design, targets: List[int],
     """
     size = len(block)
     report = block.report
-    if rows == list(range(size)):
-        rows = None
     metrics: List[List[float]] = []
     for objective in objectives:
         try:

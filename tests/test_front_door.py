@@ -168,3 +168,17 @@ print(json.dumps({"names": package.__all__, "bad": bad}))
         "build_edgaze", "run_edgaze", "edgaze_configs", "edgaze_space",
         "build_edgaze_mixed", "run_edgaze_mixed", "build_fig5_design",
         "run_fig5", "build_three_layer", "run_three_layer"]
+
+
+def test_a_thread_session_loads_no_process_machinery():
+    """The process pool is imported where the process backend builds
+    it, so a session that never pools processes does not pay for
+    ``multiprocessing``."""
+    modules = ("concurrent.futures.process", "multiprocessing.connection")
+    loaded = _fresh(
+        "import json, sys, repro.usecases.fig5\n"
+        "from repro.api import Simulator\n"
+        "with Simulator(executor='thread') as sim:\n"
+        "    assert sim.run(repro.usecases.fig5.build_fig5_design()).ok\n"
+        f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))")
+    assert loaded == []

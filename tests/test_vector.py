@@ -416,6 +416,38 @@ class TestBlockCache:
         assert self._document(warm) == self._document(cold)
         assert warm.engines["vectorized"] == len(cold.points)
 
+    @pytest.mark.parametrize("disk", [False, True])
+    def test_exact_replay_is_served_whole_from_each_block(
+            self, materialized, tmp_path, disk):
+        """A group equal to its design's newest block is that block
+        whole: no row index, and a row is materialized only for its
+        first write to a disk tier."""
+        simulator = Simulator(cache_dir=tmp_path if disk else None)
+        cold = self._explore(simulator, self._RATES)
+        assert materialized == []
+        before = simulator.cache_info()
+        for replay in range(2):
+            warm = self._explore(simulator, self._RATES)
+            after = simulator.cache_info()
+            assert after.hits - before.hits \
+                == (replay + 1) * len(cold.points)
+            assert after.misses == before.misses
+            assert self._document(warm) == self._document(cold)
+        blocks = list(simulator._blocks)
+        assert len(blocks) == 2
+        assert all("rows" not in vars(block) for block in blocks)
+        if disk:
+            assert sorted(materialized) \
+                == sorted(2 * list(range(len(self._RATES))))
+            assert after.disk_entries == len(cold.points)
+        else:
+            assert materialized == []
+        for block in blocks:
+            served, singles, pending = simulator.probe_results(
+                list(block.options), block.design_hash)
+            assert served == [(block, list(range(len(block))), None)]
+            assert (singles, pending) == ({}, [])
+
     def test_superset_replay_hits_old_rows_and_misses_new(self,
                                                           materialized):
         simulator = Simulator()
@@ -430,6 +462,22 @@ class TestBlockCache:
         fresh = self._explore(Simulator(), self._RATES + new_rates)
         assert superset.points == fresh.points
         assert self._document(superset) == self._document(fresh)
+        # Replayed again, each design has two blocks and the newest holds
+        # only the new rates: each point is served by the block with its
+        # key, old rows first in the group and new ones after them.
+        again = self._explore(simulator, self._RATES + new_rates)
+        final = simulator.cache_info()
+        assert materialized == []
+        assert final.hits - after.hits == len(superset.points)
+        assert final.misses == after.misses
+        assert self._document(again) == self._document(fresh)
+        old, new = simulator._blocks_by_hash[superset.points[0].design_hash]
+        served, singles, pending = simulator.probe_results(
+            list(old.options + new.options), old.design_hash)
+        assert served == [(old, list(range(len(old))), None),
+                          (new, list(range(len(old), len(old) + len(new))),
+                           None)]
+        assert (singles, pending) == ({}, [])
 
     def test_infeasible_rate_is_served_as_a_cached_failure(self):
         rates = self._RATES + [3.0e6]
@@ -437,7 +485,10 @@ class TestBlockCache:
         cold = self._explore(simulator, rates)
         before = simulator.cache_info()
         warm = self._explore(simulator, rates)
-        assert simulator.cache_info().hits - before.hits == len(cold.points)
+        after = simulator.cache_info()
+        assert after.hits - before.hits == len(cold.points)
+        assert after.misses == before.misses
+        assert self._document(warm) == self._document(cold)
         failed = [point for point in warm.points if not point.feasible]
         assert len(failed) == 2
         assert all(point.failure_type == "TimingError" for point in failed)
@@ -446,6 +497,15 @@ class TestBlockCache:
         result = simulator.run(design, SimOptions(frame_rate=3.0e6))
         assert result.cached and result.error_type == "TimingError"
         assert result.failure == next(point.failure for point in failed)
+        # The failure is a single result beside the design's block.
+        [block] = simulator._blocks_by_hash[result.design_hash]
+        served, singles, pending = simulator.probe_results(
+            [SimOptions(frame_rate=rate) for rate in rates],
+            result.design_hash)
+        assert served == [(block, list(range(len(self._RATES))), None)]
+        assert list(singles) == [len(self._RATES)]
+        assert singles[len(self._RATES)].failure == result.failure
+        assert pending == []
 
     def test_row_bound_evicts_the_oldest_whole_block(self, monkeypatch):
         # One design, three disjoint rate sets: three blocks of 4 rows.
