@@ -11,11 +11,14 @@ typed failure, so batch consumers (sweeps, the CLI) no longer hand-roll
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Any, Dict, List, Optional
+from functools import cached_property, partial
+from itertools import repeat
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.columns import element
+from repro.columns import element, gather
 from repro.energy.report import EnergyEntry, EnergyReport
 from repro.exceptions import CamJError, ConfigurationError, \
     SerializationError
@@ -42,27 +45,13 @@ class SimOptions:
     skip_checks: bool = False
 
     def __post_init__(self) -> None:
-        # Spec files hand us arbitrary JSON values: type-check before
-        # comparing, so a string frame rate fails cleanly.
-        if isinstance(self.frame_rate, bool) \
-                or not isinstance(self.frame_rate, (int, float)):
-            raise ConfigurationError(
-                f"frame rate must be a number, got {self.frame_rate!r}")
-        if isinstance(self.exposure_slots, bool) \
-                or not isinstance(self.exposure_slots, int):
-            raise ConfigurationError(
-                f"exposure slots must be an integer, "
-                f"got {self.exposure_slots!r}")
-        if not isinstance(self.cycle_accurate, bool) \
-                or not isinstance(self.skip_checks, bool):
-            raise ConfigurationError(
-                "cycle_accurate and skip_checks must be booleans")
-        if not self.frame_rate > 0:  # NaN too
-            raise ConfigurationError(
-                f"frame rate must be positive, got {self.frame_rate}")
-        if self.exposure_slots < 1:
-            raise ConfigurationError(
-                f"exposure slots must be >= 1, got {self.exposure_slots}")
+        # Spec files hand us arbitrary JSON values: each check runs on
+        # the values that passed the ones before it, so a string frame
+        # rate fails cleanly.
+        for name, failing, message in _CHECKS:
+            value = getattr(self, name)
+            if failing([value]):
+                raise ConfigurationError(message(value))
 
     def __hash__(self) -> int:
         # Options are hashed millions of times as cache-key components
@@ -101,6 +90,151 @@ class SimOptions:
                 f"unknown simulation options: {sorted(unknown)}; "
                 f"supported: {sorted(known)}")
         return cls(**payload)
+
+
+# --- option checks, for one value or a column of them ------------------------
+
+def _of_kind(bad: Callable[[type], bool], values: Sequence[Any]) -> List[int]:
+    """The rows of ``values`` whose type ``bad`` rejects (one test per
+    distinct type)."""
+    kinds = [kind for kind in set(map(type, values)) if bad(kind)]
+    if not kinds:
+        return []
+    return [row for row, value in enumerate(values) if type(value) in kinds]
+
+
+def _not_number(kind: type) -> bool:
+    return not issubclass(kind, (int, float)) or issubclass(kind, bool)
+
+
+def _not_integer(kind: type) -> bool:
+    return not issubclass(kind, int) or issubclass(kind, bool)
+
+
+def _not_boolean(kind: type) -> bool:
+    return not issubclass(kind, bool)
+
+
+def _where_not(test: Callable[[Any, Any], bool], bound: Any,
+               values: Sequence[Any]) -> List[int]:
+    """The rows of ``values`` where ``test(value, bound)`` fails."""
+    if all(map(test, values, repeat(bound))):
+        return []
+    return [row for row, value in enumerate(values)
+            if not test(value, bound)]
+
+
+def _too_large(values: Sequence[Any]) -> List[int]:
+    """The rows of ``values`` that overflow a float (integers past
+    ``sys.float_info.max``): ``math.fsum`` converts every value as
+    ``float()`` does, so a column that sums has none."""
+    try:
+        math.fsum(values)
+        return []
+    except (OverflowError, ValueError):
+        return [row for row, value in enumerate(values)
+                if not _fits_float(value)]
+
+
+def _fits_float(value: Any) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
+def _bits(name: str) -> Callable[[Any], str]:
+    return lambda value: (f"{name} must fit a float, got an integer of "
+                          f"{value.bit_length()} bits")
+
+
+_BOOLEANS = "cycle_accurate and skip_checks must be booleans"
+
+#: The checks of :class:`SimOptions`, in the order they apply: a field,
+#: the rows of a column of its values that fail, and the error message
+#: of a failing value.  A value is checked only when every check before
+#: it passed, so the first failing check names the error.
+_CHECKS: Tuple[Tuple[str, Callable[[Sequence[Any]], List[int]],
+                     Callable[[Any], str]], ...] = (
+    ("frame_rate", partial(_of_kind, _not_number),
+     lambda value: f"frame rate must be a number, got {value!r}"),
+    ("exposure_slots", partial(_of_kind, _not_integer),
+     lambda value: f"exposure slots must be an integer, got {value!r}"),
+    ("cycle_accurate", partial(_of_kind, _not_boolean),
+     lambda value: _BOOLEANS),
+    ("skip_checks", partial(_of_kind, _not_boolean),
+     lambda value: _BOOLEANS),
+    ("frame_rate", _too_large, _bits("frame rate")),
+    ("frame_rate", partial(_where_not, operator.gt, 0),  # NaN too
+     lambda value: f"frame rate must be positive, got {value}"),
+    ("exposure_slots", _too_large, _bits("exposure slots")),
+    ("exposure_slots", partial(_where_not, operator.ge, 1),
+     lambda value: f"exposure slots must be >= 1, got {value}"),
+)
+
+
+@dataclass
+class OptionColumns:
+    """The options of a group of points, as columns.
+
+    One ``base`` :class:`SimOptions` holds the fields every row shares;
+    ``columns`` maps each varied field to one value per row, for
+    ``size`` rows.  This is how the vectorized explore path hands a
+    group to :meth:`~repro.api.Simulator.probe_results` and
+    :meth:`~repro.api.Simulator.run_block`, and how a
+    :class:`ResultBlock` holds the options of its rows: no
+    :class:`SimOptions` per row.  ``options[row]`` builds one row's
+    value where a single key needs it.  Rows are valid options only
+    once :meth:`errors` finds nothing wrong with them.
+    """
+
+    base: SimOptions
+    columns: Dict[str, List[Any]]
+    size: int
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, row: int) -> SimOptions:
+        """The options of one row."""
+        if not self.columns:
+            return self.base
+        return self.base.replace(**{name: column[row] for name, column
+                                    in self.columns.items()})
+
+    def values(self, name: str) -> List[Any]:
+        """One field's value per row."""
+        column = self.columns.get(name)
+        return column if column is not None \
+            else [getattr(self.base, name)] * self.size
+
+    def take(self, rows: Sequence[int]) -> "OptionColumns":
+        """The options of ``rows``, in that order."""
+        return OptionColumns(self.base, {name: gather(column, rows)
+                                         for name, column
+                                         in self.columns.items()},
+                             len(rows))
+
+    def errors(self) -> Dict[int, ConfigurationError]:
+        """Row -> the error :class:`SimOptions` raises for that row's
+        values, for every invalid row: the checks run once per column,
+        in their order, each on the rows the ones before it passed."""
+        errors: Dict[int, ConfigurationError] = {}
+        for name, failing, message in _CHECKS:
+            column = self.columns.get(name)
+            if column is None:
+                continue  # the base value, valid by construction
+            if not errors:
+                rows: Sequence[int] = range(self.size)
+                found = failing(column)
+            else:
+                rows = [row for row in range(self.size) if row not in errors]
+                found = failing(gather(column, rows))
+            for position in found:
+                row = rows[position]
+                errors[row] = ConfigurationError(message(column[row]))
+        return errors
 
 
 @dataclass
@@ -197,25 +331,33 @@ class ResultBlock:
     What :meth:`~repro.api.Simulator.run_block` publishes for a group
     of points: one :class:`EnergyReport` whose energies, ``frame_rate``,
     ``frame_time`` and ``analog_stage_delay`` are columns with one
-    element per row, and the options of each row.  The session caches whole blocks instead
-    of one result per point; :meth:`result` materializes one row's
-    bit-identical :class:`SimResult` when a single key is asked for.
+    element per row, and the :class:`OptionColumns` of its rows.  The
+    session caches whole blocks instead of one result per point;
+    :meth:`result` materializes one row's bit-identical
+    :class:`SimResult` when a single key is asked for.  A block from
+    :meth:`~repro.api.Simulator.run_block` also records the ``group`` it
+    was run for and the ``failed`` results of the group positions that
+    did not simulate, so a probe of an equal group is answered whole.
     """
 
     design_name: str
     design_hash: Optional[str]
-    #: Row -> the options that row was evaluated under.
-    options: List[SimOptions]
+    #: The options of each row, as columns.
+    options: OptionColumns
     report: EnergyReport
+    #: The group this block was run for, failed positions included
+    #: (None: the block answers per key only).
+    group: Optional[OptionColumns] = None
+    #: Group position -> the failed result of that point.
+    failed: Dict[int, SimResult] = field(default_factory=dict)
     #: Rows already written to a disk tier (the session keeps this).
     persisted: set = field(default_factory=set, init=False, repr=False)
 
     @cached_property
     def rows(self) -> Dict[SimOptions, int]:
-        """Options -> row (the inverse of ``options``), built on the
-        first per-key probe; a group probe that equals ``options``
-        serves the block whole and never builds it."""
-        return {options: row for row, options in enumerate(self.options)}
+        """Options -> row, built on the first per-key probe; a probe of
+        the block's ``group`` serves it whole and never builds it."""
+        return {self.options[row]: row for row in range(len(self))}
 
     def __len__(self) -> int:
         return len(self.options)

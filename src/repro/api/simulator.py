@@ -38,7 +38,8 @@ import repro.exec  # noqa: F401  (registers the built-in executor backends)
 from repro.api.design import Design
 from repro.api.diskcache import (CACHE_DIR_ENV, DiskResultCache,
                                  default_cache_dir)
-from repro.api.result import ResultBlock, SimOptions, SimResult
+from repro.api.result import (OptionColumns, ResultBlock, SimOptions,
+                               SimResult)
 from repro.exceptions import (CamJError, ConfigurationError,
                               SerializationError)
 from repro.exec.base import UNCACHED, SimulationExecutor, cacheable_result
@@ -409,49 +410,59 @@ class Simulator:
                              elapsed_s=time.perf_counter() - started)
 
     def run_block(self, design: Design, design_hash: Optional[str],
-                  group: List[SimOptions]
+                  group: OptionColumns
                   ) -> Tuple[Optional[ResultBlock], Dict[int, SimResult]]:
-        """Simulate one design at many options with one engine call.
+        """Simulate one design at a group of options with one engine call.
 
-        Each point's outcome is what a cold :meth:`run` computes for
-        it, but the cache is not probed (the caller did).  What the call
-        computes is published: the points that simulated as one column
-        block, each other point as a failed result under :meth:`run`'s
-        rule.  Returns the block (``None`` when no point simulated) and
-        the failed results by group position.  The engine runs once for
-        the whole group, so no options may be ``cycle_accurate``.
+        ``group`` holds the points' options as columns, every row valid
+        (see :meth:`OptionColumns.errors`) and none ``cycle_accurate``:
+        the engine runs once for the whole group, on its frame-rate and
+        exposure-slot columns.  Each point's outcome is what a cold
+        :meth:`run` computes for it, but the cache is not probed (the
+        caller did).  What the call computes is published: the points
+        that simulated as one column block, which records ``group`` and
+        the failed results by group position, and each failed point as
+        a result under :meth:`run`'s rule.  Returns the block (``None``
+        when no point simulated) and the failed results by group
+        position; :class:`SimOptions` values are built for failed rows
+        only.
         """
         errors: Dict[int, CamJError] = {}
-        rows = range(len(group))
-        if not all(options.skip_checks for options in group):
+        rows: Sequence[int] = range(len(group))
+        skip = group.values("skip_checks")
+        if not all(skip):
             try:
                 self.ensure_design_checked(design, design_hash)
             except CamJError as error:
-                errors = {i: error for i in rows if not group[i].skip_checks}
-                rows = [i for i in rows if group[i].skip_checks]
-        points = list(group) if len(rows) == len(group) \
-            else [group[i] for i in rows]
-        block = None
-        if points:
+                errors = {i: error for i in rows if not skip[i]}
+                rows = [i for i in rows if skip[i]]
+        points = group if len(rows) == len(group) else group.take(rows)
+        report = None
+        if rows:
             report, failed = self._simulate(
-                design, design_hash,
-                [options.frame_rate for options in points],
-                [options.exposure_slots for options in points])
+                design, design_hash, points.values("frame_rate"),
+                points.values("exposure_slots"))
             errors.update((rows[row], error) for row, error in failed.items())
-            if report is not None:
-                if failed:
-                    points = [options for row, options in enumerate(points)
-                              if row not in failed]
-                block = ResultBlock(design_name=design.name,
-                                    design_hash=design_hash, options=points,
-                                    report=report)
-                self.offer_results(block)
+            if report is not None and failed:
+                points = points.take([row for row in range(len(points))
+                                      if row not in failed])
         failures = {i: SimResult(design_name=design.name, options=group[i],
                                  design_hash=design_hash, error=error)
                     for i, error in errors.items()}
         if design_hash is not None:
             for i, result in failures.items():
-                self.offer_result((design_hash, group[i]), result)
+                self.offer_result((design_hash, result.options), result)
+        block = None
+        if report is not None:
+            block = ResultBlock(
+                design_name=design.name, design_hash=design_hash,
+                options=points, report=report,
+                # A failure the cache does not keep must re-run when the
+                # group comes back, so the block cannot answer for it.
+                group=group if all(map(cacheable_result, failures.values()))
+                else None,
+                failed=failures)
+            self.offer_results(block)
         return block, failures
 
     def _simulate(self, design: Design, design_hash: Optional[str],
@@ -549,7 +560,7 @@ class Simulator:
         block.persisted.add(row)
         if result is None:
             result = block.result(row)
-        self._disk_cache.put(block.design_hash, block.options[row], result)
+        self._disk_cache.put(block.design_hash, result.options, result)
 
     def _count_misses(self, count: int) -> None:
         """Count ``count`` cache misses (no-op when caching is off)."""
@@ -574,70 +585,86 @@ class Simulator:
         if disk and self._disk_cache is not None:
             self._disk_cache.put(key[0], key[1], result)
 
-    def probe_results(self, group: List[SimOptions],
+    def probe_results(self, group: OptionColumns,
                       design_hash: Optional[str]
                       ) -> Tuple[List[Tuple[ResultBlock, List[int],
                                             Optional[List[int]]]],
                                  Dict[int, SimResult], Sequence[int]]:
         """Probe the result cache for one design's group of options.
 
-        Gives every point the cache behavior a cold :meth:`run` would
-        have, with the hit/miss counters ticking once for the group.
-        Returns the block hits as ``(block, group positions, block
-        rows)`` entries (rows ``None``: every row, in order),
-        unmaterialized, so a caller that reads columns builds no
-        :class:`SimResult` for them; the single-result hits by
-        group position, ``cached=True`` (disk hits promoted); and the
-        positions that missed.  A group equal to the options of the
-        design's newest block, with no single result for the design, is
-        that block whole: one entry with rows ``None``.  Any other
-        position takes :meth:`run`'s per-key order: a single result,
-        then the newest block holding it, then the disk tier.  A block
-        row reaches the disk tier on its first serve either way.  With
-        caching off or an unserializable design (``design_hash``
-        ``None``), every position misses and no counter changes.
+        ``group`` holds the points' options as columns.  Gives every
+        point the cache behavior a cold :meth:`run` would have, with the
+        hit/miss counters ticking once for the group.  Returns the block
+        hits as ``(block, group positions, block rows)`` entries (rows
+        ``None``: every row, in order), unmaterialized, so a caller that
+        reads columns builds no :class:`SimResult` for them; the
+        single-result hits by group position, ``cached=True`` (disk hits
+        promoted); and the positions that missed.
+
+        A group equal to the one the design's newest block was run for
+        (:meth:`run_block`) is answered by that block: one column
+        comparison, the block whole as one entry with rows ``None`` and
+        the failures it recorded as the single hits — no per-key lookup
+        and no :attr:`ResultBlock.rows` index.  (No block row has a
+        single result of its own: :meth:`run_block` is given only the
+        keys a probe missed.)  Any other group takes :meth:`run`'s
+        per-key order, one :class:`SimOptions` per position: a single
+        result, then the newest block holding it, then the disk tier.
+        A block row reaches the disk tier on its first serve either
+        way.  With caching off or an unserializable design
+        (``design_hash`` ``None``), every position misses and no
+        counter changes.
         """
+        size = len(group)
         if not self._cache_enabled or design_hash is None:
-            return [], {}, range(len(group))
+            return [], {}, range(size)
         blocks = self._blocks_by_hash.get(design_hash, ())
         has_singles = design_hash in self._cache_hashes
         disk = self._disk_cache
         if not (blocks or has_singles or disk is not None):
-            self._count_misses(len(group))
-            return [], {}, range(len(group))
-        served: Dict[int, Tuple[ResultBlock, List[int], Any]] = {}
-        singles: Dict[int, SimResult] = {}
-        pending: List[int] = []
-        if blocks and not has_singles and blocks[-1].options == group:
+            self._count_misses(size)
+            return [], {}, range(size)
+        if blocks and blocks[-1].group == group:
             block = blocks[-1]
             if disk is not None:
                 for row in range(len(block)):
                     self._persist_row(block, row)
-            served[id(block)] = (block, list(range(len(group))), None)
-        else:
-            for position, options in enumerate(group):
-                key = (design_hash, options)
-                hit = self._cache.get(key) if has_singles else None
-                found = self._block_row(key) if hit is None and blocks \
-                    else None
-                if found is not None:
-                    block, row = found
-                    self._persist_row(block, row)
-                    _, positions, rows = served.setdefault(
-                        id(block), (block, [], []))
-                    positions.append(position)
-                    rows.append(row)
-                    continue
-                if hit is None and disk is not None:
-                    hit = disk.get(design_hash, options)
-                    if hit is not None:
-                        self._store(key, hit, disk=False)
-                if hit is None:
-                    pending.append(position)
-                else:
-                    singles[position] = replace(hit, cached=True)
+            failed = block.failed
+            with self._lock:
+                self._cache_hits += size
+            positions = [position for position in range(size)
+                         if position not in failed] if failed \
+                else list(range(size))
+            return [(block, positions, None)], \
+                {position: replace(result, cached=True)
+                 for position, result in failed.items()}, []
+        served: Dict[int, Tuple[ResultBlock, List[int], Any]] = {}
+        singles: Dict[int, SimResult] = {}
+        pending: List[int] = []
+        for position in range(size):
+            options = group[position]
+            key = (design_hash, options)
+            hit = self._cache.get(key) if has_singles else None
+            found = self._block_row(key) if hit is None and blocks \
+                else None
+            if found is not None:
+                block, row = found
+                self._persist_row(block, row)
+                _, positions, rows = served.setdefault(
+                    id(block), (block, [], []))
+                positions.append(position)
+                rows.append(row)
+                continue
+            if hit is None and disk is not None:
+                hit = disk.get(design_hash, options)
+                if hit is not None:
+                    self._store(key, hit, disk=False)
+            if hit is None:
+                pending.append(position)
+            else:
+                singles[position] = replace(hit, cached=True)
         with self._lock:
-            self._cache_hits += len(group) - len(pending)
+            self._cache_hits += size - len(pending)
             self._cache_misses += len(pending)
         return [(block, positions, None if rows == list(range(len(block)))
                  else rows) for block, positions, rows in served.values()

@@ -83,3 +83,11 @@ def divide_or_zero(numerator, denominator):
     numpy.divide(numerator, denominator, out=quotient,
                  where=denominator != 0.0)
     return quotient
+
+
+def gather(column, rows):
+    """The values of a list ``column`` at ``rows``, in that order; a
+    ``range`` of step 1 is one slice."""
+    if type(rows) is range and rows.step == 1:
+        return column[rows.start:rows.stop]
+    return list(map(column.__getitem__, rows))

@@ -2,11 +2,12 @@
 
 A same-design group evaluated by :mod:`repro.explore.vector` reaches its
 :class:`~repro.explore.engine.ExplorationResult` as one
-:class:`PointBlock` — the rows' params, one list per metric, and the
-bottleneck columns — instead of one :class:`ExplorationPoint` per row.
-The result ranks and writes documents from these columns
-(:mod:`repro.explore.document` reads them through :meth:`PointBlock.runs`)
-and builds the point objects only when ``result.points`` is read.
+:class:`PointBlock` — the space's param columns and the rows it holds of
+them, one list per metric, and the bottleneck columns — instead of one
+:class:`ExplorationPoint` per row.  The result ranks and writes
+documents from these columns (:mod:`repro.explore.document` reads them
+through :meth:`PointBlock.runs`) and builds the param dicts and point
+objects only when ``result.points`` is read.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from repro.energy.report import Category
 from repro.explore.annotate import Bottleneck
 from repro.explore.engine import ExplorationPoint
 from repro.explore.metrics import Metric
+from repro.explore.space import SpaceColumns
 
 
 def _new_point(params: Dict[str, Any], metrics: Dict[str, float],
@@ -48,21 +50,22 @@ class PointBlock:
     """Feasible points of one design, evaluated together, as columns.
 
     The vector engine hands its rows over in this form (see
-    :mod:`repro.explore.vector`): ``params`` holds each row's space
-    coordinates, ``metrics`` one value list per name of
-    ``metric_names``.  The top energy bottleneck of row ``i`` is
-    ``causes[top[i]]`` — a ``(name, category, hint)`` triple — with
-    energy ``energy[i]`` and share ``share[i]``; ``top[i]`` is None
-    where the row has none, and ``top`` itself is None when the
-    exploration did not annotate.  :meth:`points` builds the
-    :class:`ExplorationPoint` values; the document writer and the
-    Pareto analysis read the columns directly.
+    :mod:`repro.explore.vector`): row ``i`` is point ``rows[i]`` of the
+    space's param columns ``space``, and ``metrics`` holds one value
+    list per name of ``metric_names``.  The top energy bottleneck of
+    row ``i`` is ``causes[top[i]]`` — a ``(name, category, hint)``
+    triple — with energy ``energy[i]`` and share ``share[i]``;
+    ``top[i]`` is None where the row has none, and ``top`` itself is
+    None when the exploration did not annotate.  :meth:`points` builds
+    the param dicts and :class:`ExplorationPoint` values; the document
+    writer and the Pareto analysis read the columns directly.
     """
 
-    __slots__ = ("params", "design_name", "design_hash", "metric_names",
-                 "metrics", "causes", "top", "energy", "share")
+    __slots__ = ("space", "rows", "design_name", "design_hash",
+                 "metric_names", "metrics", "causes", "top", "energy",
+                 "share")
 
-    def __init__(self, params: List[Dict[str, Any]],
+    def __init__(self, space: SpaceColumns, rows: Sequence[int],
                  design_name: str, design_hash: Optional[str],
                  metric_names: Tuple[str, ...],
                  metrics: List[List[float]],
@@ -70,7 +73,8 @@ class PointBlock:
                  top: Optional[List[Optional[int]]] = None,
                  energy: Optional[List[float]] = None,
                  share: Optional[List[float]] = None):
-        self.params = params
+        self.space = space
+        self.rows = rows
         self.design_name = design_name
         self.design_hash = design_hash
         self.metric_names = metric_names
@@ -81,7 +85,7 @@ class PointBlock:
         self.share = share
 
     def __len__(self) -> int:
-        return len(self.params)
+        return len(self.rows)
 
     def _columns(self) -> Dict[str, List[float]]:
         """Metric name -> column (a repeated name keeps its last column,
@@ -97,7 +101,7 @@ class PointBlock:
                                self.share[row], hint)
 
     def point(self, row: int) -> ExplorationPoint:
-        return _new_point(self.params[row],
+        return _new_point(self.space.params(self.rows[row:row + 1])[0],
                           dict(zip(self.metric_names,
                                    [column[row] for column in self.metrics])),
                           self.design_name, self.design_hash,
@@ -112,7 +116,7 @@ class PointBlock:
         return [_new_point(params, dict(zip(names, values)),
                            self.design_name, self.design_hash, bottleneck)
                 for params, values, bottleneck
-                in zip(self.params, rows, bottlenecks)]
+                in zip(self.space.params(self.rows), rows, bottlenecks)]
 
     def vectors(self, objectives: Sequence[Metric]
                 ) -> List[Tuple[float, ...]]:
@@ -126,7 +130,7 @@ class PointBlock:
         """Rows ``start`` to ``stop`` as a block of their own."""
         def cut(column):
             return None if column is None else column[start:stop]
-        return PointBlock(self.params[start:stop], self.design_name,
+        return PointBlock(self.space, self.rows[start:stop], self.design_name,
                           self.design_hash, self.metric_names,
                           [column[start:stop] for column in self.metrics],
                           self.causes, cut(self.top), cut(self.energy),
@@ -134,19 +138,14 @@ class PointBlock:
 
     def runs(self) -> List["_BlockRun"]:
         """The block as runs of same-shape rows for the document writer:
-        rows change shape where their param keys change or where a
-        bottleneck appears or disappears."""
-        params, top = self.params, self.top
-        first = params[0].keys()
+        every row has the space's param keys, so rows change shape only
+        where a bottleneck appears or disappears."""
+        top = self.top
         bounds = [0]
-        if not (all(row.keys() == first for row in params)
-                and (top is None or None not in top)):
-            bounds.extend(
-                row for row in range(1, len(params))
-                if params[row].keys() != params[row - 1].keys()
-                or (top is not None
-                    and (top[row] is None) != (top[row - 1] is None)))
-        bounds.append(len(params))
+        if top is not None and None in top:
+            bounds.extend(row for row in range(1, len(top))
+                          if (top[row] is None) != (top[row - 1] is None))
+        bounds.append(len(self))
         return [_BlockRun(self, start, stop)
                 for start, stop in zip(bounds, bounds[1:])]
 
@@ -173,7 +172,7 @@ class _BlockRun:
         block, rows = self.block, slice(self.start, self.start + self.size)
         key = path[0]
         if key == "params":
-            return [params[path[1]] for params in block.params[rows]]
+            return block.space.values(path[1], block.rows[rows])
         if key == "metrics":
             return block._columns()[path[1]][rows]
         if key == "bottleneck" and len(path) == 2:

@@ -22,15 +22,14 @@ import json
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, groupby, repeat
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
 from repro.api.design import Design, require_design
 from repro.api.registry import build_usecase
-from repro.api.result import SimOptions, SimResult
+from repro.api.result import OptionColumns, SimOptions, SimResult
 from repro.api.simulator import Simulator
 from repro.energy.report import EnergyReport
 from repro.exceptions import CamJError, ConfigurationError, \
@@ -39,7 +38,8 @@ from repro.explore.annotate import Bottleneck, top_bottleneck
 from repro.resilience.faults import get_injector
 from repro.explore.metrics import Metric, metric as _lookup_metric, \
     resolve_metrics
-from repro.explore.space import OPTIONS_PREFIX, ParameterSpace
+from repro.explore.space import OPTIONS_PREFIX, ParameterSpace, \
+    SpaceColumns
 
 #: Schema tag of a serialized exploration result.
 EXPLORATION_SCHEMA = "repro.explore/1"
@@ -616,53 +616,32 @@ class ExplorationInterrupted(Exception):
     """
 
 
-class _SpaceColumns:
-    """A space's columns, split once into builder and ``options.`` ones."""
-
-    def __init__(self, space: ParameterSpace):
-        self.names, self.columns = space.names, space.columns()
-        pairs = list(zip(self.names, self.columns))
-        self.builder = [(name, column) for name, column in pairs
-                        if not name.startswith(OPTIONS_PREFIX)]
-        self.options = [(name[len(OPTIONS_PREFIX):], column)
-                        for name, column in pairs
-                        if name.startswith(OPTIONS_PREFIX)]
-
-    def params(self, indices: Sequence[int]) -> List[Dict[str, Any]]:
-        """The param dicts of the points at ``indices``, filled a column
-        at a time (under half the cost of a ``dict(zip())`` per point)."""
-        rows: List[Dict[str, Any]] = [{} for _ in indices]
-        for name, column in zip(self.names, self.columns):
-            deque(map(operator.setitem, rows, repeat(name),
-                      map(column.__getitem__, indices)), maxlen=0)
-        return rows
+def _runs(columns: List[Tuple[str, List[Any]]], start: int, stop: int
+          ) -> List[Tuple[tuple, int, int]]:
+    """``(builder values, first, stop)`` of each run of consecutive
+    points ``start`` to ``stop`` with equal values in ``columns`` (one
+    run per point where the values do not compare)."""
+    keys = zip(*[column[start:stop] for _, column in columns]) \
+        if columns else repeat((), stop - start)
+    runs: List[Tuple[tuple, int, int]] = []
+    first = start
+    try:
+        for key, run in groupby(keys):
+            runs.append((key, first, first + len(list(run))))
+            first = runs[-1][2]
+    except (TypeError, ValueError):  # e.g. arrays: == is not a bool
+        runs = [(values, row, row + 1) for row, values in zip(
+            range(start, stop),
+            zip(*[column[start:stop] for _, column in columns]))]
+    return runs
 
 
-class _OptionsCache(dict):
-    """Validated options per tuple of ``options.`` values, made on first
-    lookup (an invalid tuple maps to the :class:`CamJError` saying why)."""
-
-    def __init__(self, names: List[str], base_options: SimOptions):
-        super().__init__({(): base_options})
-        self.names, self.base_options = names, base_options
-
-    def __missing__(self, values: tuple) -> Union[SimOptions, CamJError]:
-        self[values] = options = self.validate(values)
-        return options
-
-    def validate(self, values: tuple) -> Union[SimOptions, CamJError]:
-        try:
-            return self.base_options.replace(**dict(zip(self.names, values)))
-        except CamJError as error:
-            return error
-
-
-def _rows(columns: List[Tuple[str, List[Any]]], start: int, stop: int
-          ) -> Iterator[tuple]:
-    """The value tuples of points ``start`` to ``stop`` in ``columns``."""
-    if not columns:
-        return repeat((), stop - start)
-    return zip(*[column[start:stop] for _, column in columns])
+def _compact(indices: List[int]) -> Sequence[int]:
+    """Ascending distinct space indices, as a ``range`` when they have
+    no gap (a block's param and option columns are then slices)."""
+    if indices and indices[-1] - indices[0] == len(indices) - 1:
+        return range(indices[0], indices[-1] + 1)
+    return indices
 
 
 def resolve_builder(builder: Builder, name: Optional[str]
@@ -786,7 +765,7 @@ def explore_stream(space: ParameterSpace,
     base_options = options if options is not None else simulator.options
     build, result_name = resolve_builder(builder, name)
 
-    option_fields = set(SimOptions().to_dict())
+    option_fields = set(base_options.to_dict())
     bad_axes = [axis for axis in space.names
                 if axis.startswith(OPTIONS_PREFIX)
                 and axis[len(OPTIONS_PREFIX):] not in option_fields]
@@ -795,12 +774,11 @@ def explore_stream(space: ParameterSpace,
             f"unknown SimOptions axes {sorted(bad_axes)}; "
             f"supported: {sorted(OPTIONS_PREFIX + f for f in option_fields)}")
 
-    columns = _SpaceColumns(space)
+    columns = SpaceColumns(space.names, space.columns())
     total = len(columns.columns[0])
     step = chunk_size if chunk_size is not None else max(total, 1)
     built_cache: Dict[tuple, Union[Design, CamJError]] = {}
-    options_cache = _OptionsCache([name for name, _ in columns.options],
-                                  base_options)
+    space_options = OptionColumns(base_options, columns.options, total)
     segments: List[Segment] = []
     streamed: List[ExplorationPoint] = []
     completed = 0
@@ -818,7 +796,7 @@ def explore_stream(space: ParameterSpace,
             stop = min(start + step, total)
             chunk_segments, chunk_hits, chunk_resilience, chunk_engines = \
                 _run_chunk(
-                    columns, start, stop, build, options_cache, built_cache,
+                    columns, space_options, start, stop, build, built_cache,
                     simulator, resolved_objectives, annotate, engine)
             segments.extend(chunk_segments)
             completed = stop
@@ -849,9 +827,9 @@ def explore_stream(space: ParameterSpace,
     return result
 
 
-def _run_chunk(columns: _SpaceColumns, start: int, stop: int,
+def _run_chunk(columns: SpaceColumns, space_options: OptionColumns,
+               start: int, stop: int,
                build: Callable[..., Design],
-               options_cache: _OptionsCache,
                built_cache: Dict[tuple, Union[Design, CamJError]],
                simulator: Simulator,
                objectives: Sequence[Metric],
@@ -860,39 +838,40 @@ def _run_chunk(columns: _SpaceColumns, start: int, stop: int,
                                      Dict[str, int]]:
     """Build, simulate, and evaluate space points ``start`` to ``stop``.
 
-    Points are grouped by their builder values and each group builds its
-    design once — ``built_cache`` persists across chunks, so option-only
-    sweeps build exactly one design no matter how finely the run is
-    chunked (``options_cache`` keeps one validated :class:`SimOptions`
-    per distinct tuple of ``options.`` values the same way).  Groups
-    that built one design object evaluate together.  Returns the
-    chunk's segments (in space order), its result-cache hit count, the
-    resilience counters its one ``run_many`` batch reported, and the
-    engine counters (vector-evaluated vs object-fallback point counts).
+    ``space_options`` holds the exploration's base options and its
+    ``options.`` columns; the chunk's rows are validated once per
+    column.  Runs of points with equal builder values group together
+    and each group builds its design once — ``built_cache`` persists
+    across chunks, so option-only sweeps build exactly one design no
+    matter how finely the run is chunked.  Groups that built one design
+    object evaluate together: on the vector path as one
+    :class:`OptionColumns` group, on the object path with one
+    :class:`SimOptions` per point.  Returns the chunk's segments (in
+    space order), its result-cache hit count, the resilience counters
+    its one ``run_many`` batch reported, and the engine counters
+    (vector-evaluated vs object-fallback point counts).
     """
     # Phase 1: options, then one design per group of builder values.  A
     # bad options value or a failing builder makes typed infeasible
     # points; a point whose options fail never reaches the builder.
-    try:
-        point_options = list(map(options_cache.__getitem__,
-                                 _rows(columns.options, start, stop)))
-    except TypeError:  # an unhashable value: validated point by point
-        point_options = list(map(options_cache.validate,
-                                 _rows(columns.options, start, stop)))
-    failed: List[Tuple[int, CamJError]] = []
-    groups: Dict[Any, List[int]] = {}
-    for index, key, options in zip(range(start, stop),
-                                   _rows(columns.builder, start, stop),
-                                   point_options):
-        if isinstance(options, CamJError):
-            failed.append((index, options))
-            continue
+    failed: List[Tuple[int, CamJError]] = [
+        (start + row, error) for row, error
+        in space_options.take(range(start, stop)).errors().items()]
+    bad = {index for index, _ in failed}
+    groups: Dict[Any, List[Tuple[int, int]]] = {}
+    for key, first, end in _runs(columns.builder, start, stop):
         try:
-            groups.setdefault(key, []).append(index)
-        except TypeError:  # an unhashable value: a design of its own
-            groups[index] = [index]
-    designs: Dict[int, Tuple[Design, List[int]]] = {}
-    for key, indices in groups.items():
+            groups.setdefault(key, []).append((first, end))
+        except TypeError:  # an unhashable value: a design per point
+            groups.update((row, [(row, row + 1)])
+                          for row in range(first, end))
+    designs: Dict[int, Tuple[Design, List[Sequence[int]]]] = {}
+    for key, runs in groups.items():
+        indices = [row for first, end in runs for row in range(first, end)
+                   if row not in bad] if bad or len(runs) > 1 \
+            else range(*runs[0])
+        if not indices:
+            continue
         design = built_cache.get(key)
         if design is None:
             values = key if type(key) is tuple else \
@@ -908,7 +887,7 @@ def _run_chunk(columns: _SpaceColumns, start: int, stop: int,
         if isinstance(design, CamJError):
             failed.extend((index, design) for index in indices)
         else:
-            designs.setdefault(id(design), (design, []))[1].extend(indices)
+            designs.setdefault(id(design), (design, []))[1].append(indices)
 
     # Phase 2a: the vector fast path takes eligible groups (numeric-only
     # variation) out of the object batch entirely.  Fault injection
@@ -923,18 +902,23 @@ def _run_chunk(columns: _SpaceColumns, start: int, stop: int,
         from repro.explore import vector as vector_mod
         if vector_mod.vector_support_error(objectives) is not None:
             vector_mod = None
-    for design, indices in designs.values():
-        indices.sort()  # groups that built one design object merged
-        fast = [] if vector_mod is None else [
-            index for index in indices
-            if not point_options[index - start].cycle_accurate]
+    cycle = space_options.columns.get("cycle_accurate")
+    for design, parts in designs.values():
+        # Groups that built one design object merge, in space order.
+        indices = parts[0] if len(parts) == 1 \
+            else _compact(sorted(chain.from_iterable(parts)))
+        if vector_mod is None or (cycle is None
+                                  and space_options.base.cycle_accurate):
+            fast: Sequence[int] = ()
+        else:
+            fast = indices if cycle is None else \
+                _compact([index for index in indices if not cycle[index]])
         if fast and len(fast) >= (1 if engine == "vector"
                                   else vector_mod.VECTOR_MIN_POINTS):
             try:
                 group_pieces, hits = vector_mod.evaluate_group(
-                    simulator, design, fast,
-                    [point_options[index - start] for index in fast],
-                    columns.params, objectives, annotate)
+                    simulator, design, fast, space_options.take(fast),
+                    columns, objectives, annotate)
             except VectorUnsupported:
                 # The screen rejected the design: the object path takes
                 # the group, under engine="vector" too.
@@ -944,16 +928,14 @@ def _run_chunk(columns: _SpaceColumns, start: int, stop: int,
                     _place(pieces, segment_indices, segment)
                 vector_hits += hits
                 engines["vectorized"] += len(fast)
-                indices = [index for index in indices
-                           if point_options[index - start].cycle_accurate] \
+                indices = [index for index in indices if cycle[index]] \
                     if len(fast) < len(indices) else []
         object_rows.extend((index, design) for index in indices)
 
     # Phase 2b: one parallel, deduplicated batch over the buildable
     # points the vector path did not claim, in space order.
     object_rows.sort(key=operator.itemgetter(0))
-    jobs = [(design, point_options[index - start])
-            for index, design in object_rows]
+    jobs = [(design, space_options[index]) for index, design in object_rows]
     results = simulator.run_many(jobs) if jobs else []
     if engine != "object":
         engines["fallback"] = len(jobs)

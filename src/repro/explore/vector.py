@@ -2,28 +2,34 @@
 
 Exploration grids routinely sweep *numeric knobs* over one built design
 — frame rates, exposure slots — producing groups of points that share a
-stage graph, mapping, and hardware but differ only in
-:class:`~repro.api.result.SimOptions`.  The object path simulates each
-such point on its own; this module hands the whole group to the same
-engine as columns of operating points, in four steps:
+stage graph, mapping, and hardware but differ only in their options.
+The object path simulates each such point on its own; this module hands
+the whole group to the same engine as columns of operating points.  A
+group arrives as an :class:`~repro.api.result.OptionColumns` — the
+exploration's base options plus one column per ``options.`` axis,
+sliced from the space's columns — and the space's param columns, and
+is evaluated in four steps:
 
 1. screen the design, once per content hash: only the stock analog
    array, component and cell types, and the stock memory leakage, are
    known to accept a column of delays;
 2. probe the session result cache for the whole group, with the hits
    :meth:`Simulator.run` would give each point, and serve them: a
-   group equal to its design's newest block is that block whole, and
-   other block hits come back grouped by block;
-3. simulate the rest with one engine call (:meth:`Simulator.run_block`),
-   which caches the rows that simulated as one column block
+   group equal to the one its design's newest block was run for is that
+   block whole plus the failures it recorded, compared as option
+   columns; other block hits come back grouped by block;
+3. simulate the rest with one engine call (:meth:`Simulator.run_block`)
+   on the group's frame-rate and exposure-slot columns, which caches
+   the rows that simulated as one column block
    (:class:`~repro.api.result.ResultBlock`) and each failed point as a
-   plain result;
+   plain result — a :class:`SimOptions` is built for failed rows only;
 4. read the block: each ``elementwise`` metric's single extractor reads
    its column off the block's report and the top bottleneck is ranked
    column-wise, so the feasible rows reach the exploration result as
-   one :class:`~repro.explore.block.PointBlock`, with no
-   :class:`SimResult` or :class:`ExplorationPoint` per row.  The block
-   hits of step 2 are read off their blocks the same way.
+   one :class:`~repro.explore.block.PointBlock` holding the space's
+   param columns and its rows of them, with no :class:`SimResult`,
+   param dict or :class:`ExplorationPoint` per row.  The block hits of
+   step 2 are read off their blocks the same way.
 
 One engine evaluates one point or a column, so vector points equal
 object-path points bit for bit — same metrics, same infeasibility
@@ -39,10 +45,10 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.design import Design
-from repro.api.result import ResultBlock, SimOptions
+from repro.api.result import OptionColumns, ResultBlock
 from repro.api.simulator import Simulator
 from repro.columns import dense
 from repro.exceptions import CamJError, VectorUnsupported
@@ -50,6 +56,7 @@ from repro.explore.annotate import top_bottleneck
 from repro.explore.block import PointBlock
 from repro.explore.engine import ExplorationPoint, Segment, _evaluate_point
 from repro.explore.metrics import Metric
+from repro.explore.space import SpaceColumns
 from repro.hw.analog.array import AnalogArray
 from repro.hw.analog.cells import DynamicCell, NonLinearCell, StaticCell
 from repro.hw.analog.components import AnalogComponent
@@ -64,10 +71,7 @@ from repro.hw.digital.memory import DigitalMemory
 VECTOR_MIN_POINTS = 4
 
 #: One evaluated piece of a group: its space indices and their segment.
-Piece = Tuple[List[int], Segment]
-
-#: Builds the param dicts of the points at some space indices.
-Params = Callable[[Sequence[int]], List[Dict[str, Any]]]
+Piece = Tuple[Sequence[int], Segment]
 
 _LOWERED_LIMIT = 128
 #: Content hashes of the designs the screen admitted, most recent last.
@@ -138,15 +142,16 @@ def _custom_type(kind: str, model) -> VectorUnsupported:
 
 
 def evaluate_group(simulator: Simulator, design: Design,
-                   indices: List[int], options: List[SimOptions],
-                   params: Params, objectives: Sequence[Metric],
+                   indices: Sequence[int], options: OptionColumns,
+                   space: SpaceColumns, objectives: Sequence[Metric],
                    annotate: bool) -> Tuple[List[Piece], int]:
     """Evaluate one same-design group of points on the vector path.
 
-    Space point ``indices[i]`` is evaluated under ``options[i]``;
-    ``params(space indices)`` builds the param dicts of the points the
-    group hands back.  Returns the group's points as ``(space indices,
-    segment)`` pieces — a :class:`PointBlock` of feasible rows, or one
+    Space point ``indices[i]`` (ascending) is evaluated under row ``i``
+    of ``options``, whose rows are valid; ``space`` holds the param
+    columns the group's points are read from.  Returns the group's
+    points as ``(space indices, segment)`` pieces — a
+    :class:`PointBlock` of feasible rows, or one
     :class:`ExplorationPoint` — plus the result-cache hit count.  Raises
     :class:`VectorUnsupported` — before any cache probe or pass runs —
     when the design fails the screen; the caller falls back to the
@@ -158,7 +163,7 @@ def evaluate_group(simulator: Simulator, design: Design,
     _screen_design(design, design_hash)
     pieces: List[Piece] = []
     targets, group = _serve_cached(simulator, design, design_hash, indices,
-                                   options, params, objectives, annotate,
+                                   options, space, objectives, annotate,
                                    pieces)
     hits = len(indices) - len(targets)
     if targets:
@@ -166,22 +171,23 @@ def evaluate_group(simulator: Simulator, design: Design,
         if failures:
             failed = [targets[position] for position in failures]
             for target, point_params, result in zip(
-                    failed, params(failed), failures.values()):
+                    failed, space.params(failed), failures.values()):
                 pieces.append(([target], _evaluate_point(
                     point_params, design, result, objectives, annotate)))
             targets = [target for position, target in enumerate(targets)
                        if position not in failures]
         if block is not None:
-            pieces.extend(_read_block(block, design, targets, None, params,
+            pieces.extend(_read_block(block, design, targets, None, space,
                                       objectives, annotate))
     return pieces, hits
 
 
 def _serve_cached(simulator: Simulator, design: Design,
-                  design_hash: Optional[str], indices: List[int],
-                  group: List[SimOptions], params: Params,
+                  design_hash: Optional[str], indices: Sequence[int],
+                  group: OptionColumns, space: SpaceColumns,
                   objectives: Sequence[Metric], annotate: bool,
-                  pieces: List[Piece]) -> Tuple[List[int], List[SimOptions]]:
+                  pieces: List[Piece]
+                  ) -> Tuple[Sequence[int], OptionColumns]:
     """Fill ``pieces`` with the group's cached points; returns the space
     indices and options of the points the cache did not serve.
 
@@ -193,19 +199,20 @@ def _serve_cached(simulator: Simulator, design: Design,
     served, singles, pending = simulator.probe_results(group, design_hash)
     for position, result in singles.items():
         pieces.append(([indices[position]], _evaluate_point(
-            params([indices[position]])[0], design, result, objectives,
-            annotate)))
+            space.params([indices[position]])[0], design, result,
+            objectives, annotate)))
     for block, positions, rows in served:
-        pieces.extend(_read_block(
-            block, design, [indices[i] for i in positions], rows,
-            params, objectives, annotate))
+        targets = indices if len(positions) == len(indices) \
+            else [indices[position] for position in positions]
+        pieces.extend(_read_block(block, design, targets, rows, space,
+                                  objectives, annotate))
     if len(pending) == len(group):
         return indices, group
-    return [indices[i] for i in pending], [group[i] for i in pending]
+    return [indices[i] for i in pending], group.take(pending)
 
 
-def _read_block(block: ResultBlock, design: Design, targets: List[int],
-                rows: Optional[List[int]], params: Params,
+def _read_block(block: ResultBlock, design: Design, targets: Sequence[int],
+                rows: Optional[List[int]], space: SpaceColumns,
                 objectives: Sequence[Metric],
                 annotate: bool) -> List[Piece]:
     """The pieces of the space points ``targets`` served by the block's
@@ -231,7 +238,8 @@ def _read_block(block: ResultBlock, design: Design, targets: List[int],
                 params=point_params, design_name=design.name,
                 design_hash=block.design_hash, failure_type=failure_type,
                 failure=failure))
-                for target, point_params in zip(targets, params(targets))]
+                for target, point_params in zip(targets,
+                                                space.params(targets))]
         values = dense(raw, size)
         metrics.append((values if rows is None else values[rows]).tolist())
     columns: Dict[str, Any] = {}
@@ -239,6 +247,6 @@ def _read_block(block: ResultBlock, design: Design, targets: List[int],
         columns = dict(zip(("causes", "top", "energy", "share"),
                            top_bottleneck(report, size, rows)))
     return [(targets, PointBlock(
-        params(targets), design.name, block.design_hash,
+        space, targets, design.name, block.design_hash,
         tuple(objective.name for objective in objectives), metrics,
         **columns))]

@@ -34,7 +34,8 @@ from repro.explore import (
 from repro.explore.annotate import Bottleneck
 from repro.explore.block import PointBlock
 from repro.explore.engine import ExplorationPoint
-from repro.explore.space import FilteredSpace, ProductSpace, ZipSpace
+from repro.explore.space import FilteredSpace, ProductSpace, SpaceColumns, \
+    ZipSpace
 from repro.hw.digital.memory import LineBuffer
 from repro.usecases.fig5 import (FIG5_MAPPING, build_fig5_design,
                                  build_fig5_stages, build_fig5_system)
@@ -739,7 +740,9 @@ def _bottlenecks(draw):
 @st.composite
 def _segments(draw, names, keys):
     """A vector block, a feasible object-path point or an infeasible one;
-    params mostly share ``keys``, sometimes with a key of their own."""
+    params mostly share ``keys``, a point's sometimes with a key of its
+    own.  A block's rows are some rows of its param columns: a slice
+    (a ``range``) or picked out one by one."""
     def params():
         row = {key: draw(_PARAM) for key in keys}
         if draw(st.integers(0, 5)) == 0:
@@ -751,11 +754,20 @@ def _segments(draw, names, keys):
     design_hash = draw(st.one_of(st.none(), _TEXT))
     if kind == "block":
         size = draw(st.integers(1, 4))
+        height = size + draw(st.integers(0, 3))
+        space = SpaceColumns(keys, [[draw(_PARAM) for _ in range(height)]
+                                    for _ in keys])
+        if draw(st.booleans()):
+            first = draw(st.integers(0, height - size))
+            rows = range(first, first + size)
+        else:
+            rows = draw(st.lists(st.integers(0, height - 1),
+                                 min_size=size, max_size=size))
         causes = [(draw(_TEXT), draw(st.sampled_from(list(Category))),
                    draw(_TEXT)) for _ in range(draw(st.integers(1, 2)))]
         annotated = draw(st.booleans())
         return PointBlock(
-            [params() for _ in range(size)], design, design_hash,
+            space, rows, design, design_hash,
             tuple(names),
             [[draw(_FLOAT) for _ in range(size)] for _ in names],
             causes if annotated else (),
@@ -844,8 +856,8 @@ class TestDocumentWriter:
     def test_hole_like_param_keys_fall_back(self):
         """A param key that reads as a hole marker keeps its rows on the
         json.dumps path — and the bytes right."""
-        block = PointBlock([{"\x000": 1.5, "x": "y"}] * 2, "d", None,
-                           ("m",), [[1.0, 2.0]])
+        space = SpaceColumns(["\x000", "x"], [[1.5] * 2, ["y"] * 2])
+        block = PointBlock(space, range(2), "d", None, ("m",), [[1.0, 2.0]])
         result = ExplorationResult(
             name="holes", objectives=[Metric("m", "", lambda d, r: 0.0)],
             options=SimOptions(), segments=[block])
@@ -1092,3 +1104,46 @@ class TestDesignGroups:
         assert len(builds) == 8
         assert result.engines == {"vectorized": 10000, "fallback": 0}
         assert len(result.feasible_points) == 10000
+
+    def test_a_product_builds_no_options_or_params_per_point(
+            self, monkeypatch):
+        """The same 4 x 2 x 1250 product travels as columns: no
+        SimOptions per point and no param dict until ``points`` is read."""
+        space = product(
+            choice("placement", ["2D-In", "2D-Off", "3D-In", "3D-In-STT"]),
+            choice("cis_node", [130, 65]),
+            linspace("options.frame_rate", 15.0, 480.0, 1250))
+        build_usecase("edgaze")  # imports the use case and its constants
+        default = SimOptions()
+        options_built = []
+        params_built = []
+        check_options = SimOptions.__post_init__
+        params = SpaceColumns.params
+
+        def counting_options(options):
+            options_built.append(options)
+            check_options(options)
+
+        def counting_params(columns, rows):
+            params_built.append(len(rows))
+            return params(columns, rows)
+
+        monkeypatch.setattr(SimOptions, "__post_init__", counting_options)
+        monkeypatch.setattr(SpaceColumns, "params", counting_params)
+        with Simulator() as sim:
+            result = explore(space, "edgaze", simulator=sim,
+                             objectives=("energy_per_frame", "latency"))
+            replay = explore(space, "edgaze", simulator=sim,
+                             objectives=("energy_per_frame", "latency"))
+            # The session's default options are the exploration's base.
+            assert options_built == [default]
+            assert sum(params_built) == 0
+            # The document writer reads param columns: one prototype row
+            # per design's block shapes the rows.
+            assert result.to_json() == replay.to_json()
+            assert sum(params_built) == 2 * 8
+        assert result.engines == {"vectorized": 10000, "fallback": 0}
+        assert len(result.points) == len(replay.points) == 10000
+        assert sum(params_built) == 2 * 8 + 20000
+        assert replay.points == result.points
+        assert options_built == [default]

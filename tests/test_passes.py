@@ -12,7 +12,7 @@ row.
 import pytest
 
 from repro.api import Design, SimOptions, Simulator
-from repro.api.result import ResultBlock
+from repro.api.result import OptionColumns, ResultBlock
 from repro.energy.analog_model import analog_energy, analog_usage
 from repro.energy.comm_model import communication_energy
 from repro.energy.digital_model import digital_energy
@@ -319,9 +319,10 @@ class TestColumnEngine:
         else:
             block = ResultBlock(
                 design_name=design.name, design_hash=None,
-                options=[SimOptions(frame_rate=frame_rates[row],
-                                    exposure_slots=slots[row])
-                         for row, _ in fitting],
+                options=OptionColumns(SimOptions(), {
+                    "frame_rate": [frame_rates[row] for row, _ in fitting],
+                    "exposure_slots": [slots[row] for row, _ in fitting]},
+                    len(fitting)),
                 report=report)
             for position, (_, expected) in enumerate(fitting):
                 assert block.result(position).report.to_dict() \

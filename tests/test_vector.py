@@ -19,7 +19,7 @@ import pytest
 import repro.api.simulator as simulator_module
 from repro.api import Design, SimOptions, Simulator, build_usecase
 from repro.api.registry import available_usecases
-from repro.api.result import ResultBlock
+from repro.api.result import OptionColumns, ResultBlock
 from repro.energy.report import Category
 from repro.exceptions import ConfigurationError, SerializationError
 from repro.explore import (
@@ -444,7 +444,7 @@ class TestBlockCache:
             assert materialized == []
         for block in blocks:
             served, singles, pending = simulator.probe_results(
-                list(block.options), block.design_hash)
+                block.options, block.design_hash)
             assert served == [(block, list(range(len(block))), None)]
             assert (singles, pending) == ({}, [])
 
@@ -473,7 +473,10 @@ class TestBlockCache:
         assert self._document(again) == self._document(fresh)
         old, new = simulator._blocks_by_hash[superset.points[0].design_hash]
         served, singles, pending = simulator.probe_results(
-            list(old.options + new.options), old.design_hash)
+            OptionColumns(SimOptions(), {"frame_rate": [
+                *old.options.values("frame_rate"),
+                *new.options.values("frame_rate")]}, len(old) + len(new)),
+            old.design_hash)
         assert served == [(old, list(range(len(old))), None),
                           (new, list(range(len(old), len(old) + len(new))),
                            None)]
@@ -486,6 +489,9 @@ class TestBlockCache:
         before = simulator.cache_info()
         warm = self._explore(simulator, rates)
         after = simulator.cache_info()
+        # Each design's group is its block plus the recorded failure:
+        # served whole, with no per-key row index.
+        assert all("rows" not in vars(block) for block in simulator._blocks)
         assert after.hits - before.hits == len(cold.points)
         assert after.misses == before.misses
         assert self._document(warm) == self._document(cold)
@@ -500,7 +506,7 @@ class TestBlockCache:
         # The failure is a single result beside the design's block.
         [block] = simulator._blocks_by_hash[result.design_hash]
         served, singles, pending = simulator.probe_results(
-            [SimOptions(frame_rate=rate) for rate in rates],
+            OptionColumns(SimOptions(), {"frame_rate": rates}, len(rates)),
             result.design_hash)
         assert served == [(block, list(range(len(self._RATES))), None)]
         assert list(singles) == [len(self._RATES)]
