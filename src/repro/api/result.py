@@ -165,12 +165,13 @@ _CHECKS: Tuple[Tuple[str, Callable[[Sequence[Any]], List[int]],
      lambda value: _BOOLEANS),
     ("skip_checks", partial(_of_kind, _not_boolean),
      lambda value: _BOOLEANS),
-    ("frame_rate", _too_large, _bits("frame rate")),
     ("frame_rate", partial(_where_not, operator.gt, 0),  # NaN too
      lambda value: f"frame rate must be positive, got {value}"),
-    ("exposure_slots", _too_large, _bits("exposure slots")),
     ("exposure_slots", partial(_where_not, operator.ge, 1),
      lambda value: f"exposure slots must be >= 1, got {value}"),
+    # Last, so a value the sign checks reject keeps their message.
+    ("frame_rate", _too_large, _bits("frame rate")),
+    ("exposure_slots", _too_large, _bits("exposure slots")),
 )
 
 

@@ -636,14 +636,6 @@ def _runs(columns: List[Tuple[str, List[Any]]], start: int, stop: int
     return runs
 
 
-def _compact(indices: List[int]) -> Sequence[int]:
-    """Ascending distinct space indices, as a ``range`` when they have
-    no gap (a block's param and option columns are then slices)."""
-    if indices and indices[-1] - indices[0] == len(indices) - 1:
-        return range(indices[0], indices[-1] + 1)
-    return indices
-
-
 def resolve_builder(builder: Builder, name: Optional[str]
                     ) -> Tuple[Callable[..., Any], str]:
     """The build callable and result name of an exploration.
@@ -906,13 +898,13 @@ def _run_chunk(columns: SpaceColumns, space_options: OptionColumns,
     for design, parts in designs.values():
         # Groups that built one design object merge, in space order.
         indices = parts[0] if len(parts) == 1 \
-            else _compact(sorted(chain.from_iterable(parts)))
+            else sorted(chain.from_iterable(parts))
         if vector_mod is None or (cycle is None
                                   and space_options.base.cycle_accurate):
             fast: Sequence[int] = ()
         else:
             fast = indices if cycle is None else \
-                _compact([index for index in indices if not cycle[index]])
+                [index for index in indices if not cycle[index]]
         if fast and len(fast) >= (1 if engine == "vector"
                                   else vector_mod.VECTOR_MIN_POINTS):
             try:

@@ -100,6 +100,24 @@ class TestTooLargeForAFloat:
                            match="exposure slots must fit a float"):
             SimOptions(exposure_slots=HUGE)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"frame_rate": -HUGE}, f"frame rate must be positive, got {-HUGE}"),
+        ({"exposure_slots": -HUGE},
+         f"exposure slots must be >= 1, got {-HUGE}"),
+        ({"frame_rate": HUGE, "exposure_slots": 0},
+         "exposure slots must be >= 1, got 0"),
+    ], ids=["negative-rate", "negative-slots", "huge-rate-zero-slots"])
+    def test_a_value_the_sign_checks_reject_keeps_their_message(
+            self, fields, message):
+        """The range checks run last: only a huge value that passes the
+        sign checks gets the range message."""
+        with pytest.raises(ConfigurationError) as excinfo:
+            SimOptions(**fields)
+        assert str(excinfo.value) == message
+        errors = OptionColumns(SimOptions(), {
+            name: [value] for name, value in fields.items()}, 1).errors()
+        assert str(errors[0]) == message
+
     def test_both_engines_make_it_one_infeasible_point(self):
         space = choice("options.frame_rate", [30.0, HUGE])
         documents = []
